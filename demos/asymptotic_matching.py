@@ -11,15 +11,17 @@ from casimir_harmonic import (
     HarmonicConfig,
     VChartFamily,
     asymptotic_match_report,
+    build_P_polynomials,
     large_r_expansion,
     small_r_expansion,
     xi_conformal,
 )
-from casimir_harmonic.cli import _part_small_r
 
 d = 1
 print(f"Small-radius rows, d={d}, tt component, conformal part:")
-series = _part_small_r(d, "tt", "diamond", 0, 3, tol=1e-10)
+# odd d: the t0 profile carries both the plain and the ln-tau integrals
+p0, p1 = build_P_polynomials(d, "tt", xi_conformal(d))
+series = small_r_expansion(p0, p1, 3, tol=1e-10)
 for row in series.rows:
     tag = " * ln r" if row.has_log else ""
     print(f"  r^{int(row.r_power)}: {row.coefficient:+.10f}{tag}")

@@ -7,7 +7,7 @@ dimension d in {1, 2, 3}; energies come out per unit of the trap scale k.
 
 __version__ = "0.1.0"
 
-from .asymptotics import (ConformalSlopeFamily, SeriesExpansion, VChartFamily,
+from .asymptotics import (SeriesExpansion, VChartFamily,
                           asymptotic_match_report, large_r_expansion,
                           small_r_expansion)
 from .continuation import (build_P_polynomials, ibp_mellin,
@@ -16,7 +16,7 @@ from .continuation import (build_P_polynomials, ibp_mellin,
 from .energy import (EnergyResult, In_quadrature, In_zeta,
                      boundary_energy_scan, bulk_energy_quadrature,
                      bulk_energy_zeta, spectral_trace_oracle)
-from .kernels import (COMPONENTS, HarmonicConfig, heat_trace,
+from .kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig, heat_trace,
                       mehler_kernel_1d, xi_conformal)
 from .quadrature import (QuadratureError, WeightedIntegrand,
                          integrate_semiaxis, integrate_unit_interval)

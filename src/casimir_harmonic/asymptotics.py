@@ -21,9 +21,10 @@ import numpy as np
 
 from .continuation import p_constants, u_affine_ladder, weight_exponent
 from .jets import Jet, jet_lift_and_compose as lift
-from .kernels import COMPONENTS, HyperbolicJets, xi_conformal
+from .kernels import COMPONENTS, HyperbolicJets, part_coupling
 from .quadrature import WeightedIntegrand, integrate_semiaxis, integrate_unit_interval
 from .specfun import digamma, g_log_gamma, gamma, lower_gamma, upper_gamma
+from .stress import stress_profiles
 
 
 @dataclass
@@ -128,7 +129,8 @@ class VChartFamily:
 
     profile 0 is the scale-free part (its integrand carries ln tau, which
     splits into ln v + a regular piece here); profile 1 multiplies the
-    subtraction-scale constant and has no logarithm of its own.
+    subtraction-scale constant and has no logarithm of its own.  xi is any
+    coupling ``bracket_factors`` takes; XI_SLOPE gives the exact xi-slope.
     """
 
     def __init__(self, d, comp, xi, profile=0, n=None, pipeline=None):
@@ -160,26 +162,6 @@ class VChartFamily:
                 p0_i = self.a_main * g0 + self.a_slope * g1
                 q0.append(pref * (p0_i + ln_reg * p1_i))
                 q1.append(pref * p1_i)
-        return q0, q1
-
-
-class ConformalSlopeFamily:
-    """Exact xi-slope of a family, using that the brackets are affine in xi."""
-
-    def __init__(self, d, comp, profile=0, n=None, pipeline=None):
-        xi_c = xi_conformal(d)
-        self._lo = VChartFamily(d, comp, xi_c, profile, n, pipeline)
-        self._hi = VChartFamily(d, comp, xi_c + 0.25, profile, n, pipeline)
-        self.d, self.comp, self.profile = d, comp, profile
-        self.lam = self._lo.lam
-        self.degree = self._lo.degree
-        self.n = self._lo.n
-
-    def jets(self, v_jet):
-        lo0, lo1 = self._lo.jets(v_jet)
-        hi0, hi1 = self._hi.jets(v_jet)
-        q0 = [(h - l) * 4.0 for h, l in zip(hi0, lo0)]
-        q1 = [(h - l) * 4.0 for h, l in zip(hi1, lo1)]
         return q0, q1
 
 
@@ -327,27 +309,15 @@ def asymptotic_match_report(cfg, comp, part, r_values, v0=0.5, tol=1e-10):
     steeper than the remainder-order power of the kept truncation is
     expected, not a defect.  Empty r_values gives an empty table.
     """
-    from .stress import conformal_split, stress_profiles
-
     d = cfg.d
     depth = _REPORT_DEPTH[d]
-    if part == "diamond":
-        fam = VChartFamily(d, comp, xi_conformal(d))
-    elif part == "square":
-        fam = ConformalSlopeFamily(d, comp)
-    elif part == "raw":
-        fam = VChartFamily(d, comp, cfg.xi)
-    else:
-        raise ValueError("part must be 'diamond', 'square', or 'raw'")
-    finite, limit = large_r_expansion(fam, depth=depth, v0=v0)
+    coupling = part_coupling(d, cfg.xi, part)
+    finite, limit = large_r_expansion(VChartFamily(d, comp, coupling), depth=depth, v0=v0)
 
     rows = []
     for r in r_values:
         r = float(r)
-        if part == "raw":
-            numeric = stress_profiles(cfg, comp, r, tol)[0]
-        else:
-            numeric = conformal_split(cfg, comp, r, tol)[part].t0
+        numeric = stress_profiles(cfg, comp, r, tol, coupling=coupling)[0]
         series = limit.evaluate(r)
         diff = abs(numeric - series)
         bound = limit.remainder_bound(r) + finite.gamma_tail_bound(r)

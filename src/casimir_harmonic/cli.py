@@ -28,16 +28,15 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .asymptotics import (ConformalSlopeFamily, VChartFamily,
+from .asymptotics import (VChartFamily,
                           asymptotic_match_report, large_r_expansion,
                           small_r_expansion)
-from .continuation import (RSquarePoly, build_P_polynomials,
-                           renorm_scale_constant)
+from .continuation import build_P_polynomials, renorm_scale_constant
 from .energy import (In_quadrature, In_zeta, boundary_energy_scan,
                      bulk_energy_quadrature, bulk_energy_zeta,
                      spectral_trace_oracle)
-from .kernels import (COMPONENTS, HarmonicConfig, heat_trace,
-                      mehler_kernel_1d, xi_conformal)
+from .kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig, heat_trace,
+                      mehler_kernel_1d, part_coupling, xi_conformal)
 from .quadrature import QuadratureError
 from .specfun import (EULER_GAMMA, digamma, gamma, g_log_gamma, hurwitz_zeta,
                       lower_gamma, riemann_zeta, upper_gamma)
@@ -101,8 +100,18 @@ _PINNED_SMALL_R = {
 _SMALL_R_TERMS = {1: 3, 2: 3, 3: 4}
 
 
+_D1_ANGULAR_NOTE = ("in d=1 theta1theta1_reduced is the formal contraction with a "
+                    "unit vector orthogonal to x; it is not a component of the "
+                    "d=1 tensor")
+
+
 class ValidationFailure(ValueError):
     """Bad request parameters (exit code 2)."""
+
+
+def _positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationFailure("%s must be finite and positive" % name)
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +188,8 @@ def _parse_xi(text: str) -> Callable[[int], float]:
     except ValueError:
         raise ValidationFailure(
             "xi must be a real number or the word 'conformal'") from None
+    if not math.isfinite(value):
+        raise ValidationFailure("xi must be finite")
     return lambda d: value
 
 
@@ -189,6 +200,8 @@ def _radius_grid(args) -> np.ndarray:
         r_min, r_max, r_steps = args.r_min, args.r_max, args.r_steps
     if r_steps < 1:
         raise ValidationFailure("r_steps must be at least 1")
+    if not (math.isfinite(r_min) and math.isfinite(r_max)):
+        raise ValidationFailure("r_min and r_max must be finite")
     if r_min < 0:
         raise ValidationFailure("r_min must be nonnegative")
     if r_max < r_min:
@@ -199,13 +212,11 @@ def _radius_grid(args) -> np.ndarray:
 
 
 def _harmonic_config(args, xi_of_d) -> HarmonicConfig:
-    if args.kappa_over_k <= 0:
-        raise ValidationFailure("kappa_over_k must be positive")
-    if args.tol <= 0:
-        raise ValidationFailure("tol must be positive")
-    k = getattr(args, "k", None) or 1.0
-    if k <= 0:
-        raise ValidationFailure("k must be positive")
+    _positive("kappa_over_k", args.kappa_over_k)
+    _positive("tol", args.tol)
+    k = getattr(args, "k", None)
+    k = 1.0 if k is None else k
+    _positive("k", k)
     return HarmonicConfig(d=args.d, k=k, kappa=args.kappa_over_k * k,
                           xi=xi_of_d(args.d))
 
@@ -217,8 +228,7 @@ def _harmonic_config(args, xi_of_d) -> HarmonicConfig:
 def _run_energy(args) -> int:
     if args.d < 1:
         raise ValidationFailure("d must be a positive integer")
-    if args.tol <= 0:
-        raise ValidationFailure("tol must be positive")
+    _positive("tol", args.tol)
     quad = bulk_energy_quadrature(args.d, n=args.n, tol=args.tol)
     diagnostics = []
     if args.d in (1, 2, 3):
@@ -247,8 +257,10 @@ def _run_stress(args) -> int:
     ]
     rows = []
     for r in grid:
-        full = stress_component(cfg, args.component, float(r), tol=args.tol)
         parts = conformal_split(cfg, args.component, float(r), tol=args.tol)
+        # At xi = xi_c the full value is the diamond part, bit for bit.
+        full = (parts["diamond"] if cfg.xi == xi_conformal(cfg.d)
+                else stress_component(cfg, args.component, float(r), tol=args.tol))
         row = [float(r)]
         if with_x:
             row.append(float(r) / cfg.k)
@@ -263,39 +275,12 @@ def _run_stress(args) -> int:
         diagnostics.append(
             "angular values carry the reduced normalization: "
             "the (k/r)^2 metric factor is stripped")
+        if cfg.d == 1:
+            diagnostics.append(_D1_ANGULAR_NOTE)
     if cfg.d % 2 == 0:
         diagnostics.append("log-slope profile t1 vanishes identically in even d")
     _emit(args, _base_config(args, args.d), columns, rows, diagnostics)
     return 0
-
-
-def _split_part_polys(d: int, comp: str, part: str):
-    """P-polynomial pair for the conformal part or its slope complement."""
-    lo0, lo1 = build_P_polynomials(d, comp, xi_conformal(d))
-    if part == "diamond":
-        return lo0, lo1
-    hi0, hi1 = build_P_polynomials(d, comp, xi_conformal(d) + 0.25)
-
-    def _scaled_diff(hi, lo):
-        return RSquarePoly(
-            lo.degree,
-            lambda tau, hi=hi, lo=lo: 4.0 * (hi.coefficient_values(tau)
-                                             - lo.coefficient_values(tau)),
-            lo.lam,
-        )
-
-    return _scaled_diff(hi0, lo0), _scaled_diff(hi1, lo1)
-
-
-def _part_small_r(d: int, comp: str, part: str, profile: int,
-                  n_terms: int, tol: float = 1e-9):
-    """Small-radius series of one profile of one conformal part."""
-    p0, p1 = _split_part_polys(d, comp, part)
-    if profile == 0:
-        main, logp = p0, (p1 if d % 2 == 1 else None)
-    else:
-        main, logp = p1, None
-    return small_r_expansion(main, logp, n_terms, tol=tol)
 
 
 def _run_asympt(args) -> int:
@@ -303,20 +288,11 @@ def _run_asympt(args) -> int:
     cfg = _harmonic_config(args, xi_of_d)
     grid = _radius_grid(args)
     rows = []
-    n_terms = _SMALL_R_TERMS[cfg.d]
-    if args.part == "raw":
-        small0, small1 = build_P_polynomials(cfg.d, args.component, cfg.xi)
-        small = small_r_expansion(
-            small0, small1 if cfg.d % 2 == 1 else None, n_terms, tol=args.tol)
-        family = VChartFamily(cfg.d, args.component, cfg.xi)
-    else:
-        small = _part_small_r(cfg.d, args.component, args.part, 0,
-                              n_terms, tol=args.tol)
-        if args.part == "diamond":
-            family = VChartFamily(cfg.d, args.component, xi_conformal(cfg.d))
-        else:
-            family = ConformalSlopeFamily(cfg.d, args.component)
-    _, limit = large_r_expansion(family)
+    coupling = part_coupling(cfg.d, cfg.xi, args.part)
+    p0, p1 = build_P_polynomials(cfg.d, args.component, coupling)
+    small = small_r_expansion(p0, p1 if cfg.d % 2 == 1 else None,
+                              _SMALL_R_TERMS[cfg.d], tol=args.tol)
+    _, limit = large_r_expansion(VChartFamily(cfg.d, args.component, coupling))
     columns = ["kind", "r_power", "has_log", "coefficient",
                "r", "numeric", "series", "abs_diff", "bound", "within_bound"]
     for row in small.rows:
@@ -340,6 +316,8 @@ def _run_asympt(args) -> int:
         "match slopes (log-log decay of the residual): %s"
         % " ".join(_fmt(s) for s in report["slopes"]),
     ]
+    if cfg.d == 1 and args.component == "theta1theta1_reduced":
+        diagnostics.append(_D1_ANGULAR_NOTE)
     _emit(args, _base_config(args, args.d), columns, rows, diagnostics)
     return 0
 
@@ -432,8 +410,12 @@ def _c04_small_r_tables():
     checked = 0
     worst = 0.0
     for (d, comp, profile, part), pinned in sorted(_PINNED_SMALL_R.items()):
-        series = _part_small_r(d, comp, part, profile, len(pinned) - 1,
-                               tol=1e-10)
+        p0, p1 = build_P_polynomials(d, comp, part_coupling(d, None, part))
+        if profile == 0:
+            main, logp = p0, (p1 if d % 2 == 1 else None)
+        else:
+            main, logp = p1, None
+        series = small_r_expansion(main, logp, len(pinned) - 1, tol=1e-10)
         for i, want in enumerate(pinned):
             got = series.rows[i].coefficient
             checked += 1
@@ -456,14 +438,15 @@ def _c04_small_r_tables():
 
 
 def _c05_remainder_inequality():
-    series = _part_small_r(1, "tt", "diamond", 0, 3, tol=1e-10)
+    p0, p1 = build_P_polynomials(1, "tt", xi_conformal(1))
+    series = small_r_expansion(p0, p1, 3, tol=1e-10)
     bound_c = series.remainder["F"]
     power = series.remainder["r_power"]
     coeff_err = series.remainder["coefficient_errors"]
     cfg = HarmonicConfig(d=1, xi=xi_conformal(1))
     worst_margin = math.inf
     for r in (0.2, 0.5, 1.0, 2.0):
-        numeric = conformal_split(cfg, "tt", r, tol=1e-10)["diamond"].t0
+        numeric = stress_profiles(cfg, "tt", r, tol=1e-10)[0]
         partial = series.evaluate(r)
         slack = 1e-10 + sum(e * r ** (2 * i) for i, e in enumerate(coeff_err))
         margin = bound_c * r ** power + slack - abs(numeric - partial)
@@ -485,7 +468,7 @@ def _c06_large_r_rows():
         (VChartFamily(2, "tt", xi_conformal(2)),
          [(3.0, False, -1.0 / (12.0 * pi)),
           (-5.0, False, -19.0 / (2560.0 * pi))]),
-        (ConformalSlopeFamily(3, "rr"),
+        (VChartFamily(3, "rr", XI_SLOPE),
          [(0.0, True, 1.0 / (4.0 * pi * pi)),
           (0.0, False, g / (4.0 * pi * pi)),
           (-4.0, False, 1.0 / (6.0 * pi * pi))]),
@@ -747,6 +730,10 @@ def _add_radius(parser, r_min, r_max, r_steps):
                         dest="r_steps")
 
 
+_COMPONENT_HELP = ("stress component; theta1theta1_reduced is the angular one "
+                   "without its (r/k)^2 metric factor, and " + _D1_ANGULAR_NOTE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-harmonic",
@@ -764,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stress = sub.add_parser("stress", help="renormalized stress profiles")
     p_stress.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
-    p_stress.add_argument("--component", choices=COMPONENTS, default="tt")
+    p_stress.add_argument("--component", choices=COMPONENTS, default="tt",
+                          help=_COMPONENT_HELP)
     p_stress.add_argument("--k", type=float, default=None,
                           help="trap scale; adds a physical-coordinate column")
     _add_common(p_stress)
@@ -772,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asympt = sub.add_parser("asympt", help="series rows and matching report")
     p_asympt.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
-    p_asympt.add_argument("--component", choices=COMPONENTS, default="tt")
+    p_asympt.add_argument("--component", choices=COMPONENTS, default="tt",
+                          help=_COMPONENT_HELP)
     p_asympt.add_argument("--part", choices=("diamond", "square", "raw"),
                           default="diamond")
     _add_common(p_asympt, default_tol=1e-10)

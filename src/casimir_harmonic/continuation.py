@@ -99,7 +99,8 @@ def u_affine_ladder(basis, d, comp, xi, n):
     """Conjugated n-th derivative of both u-orders of the bracket pair.
 
     Returns (main_jets, slope_jets): lists of jets, index = power of r^2,
-    for the u^0 and u^1 parts respectively.
+    for the u^0 and u^1 parts respectively.  xi is any coupling that
+    ``bracket_factors`` takes, XI_SLOPE included.
     """
     w, b0, b1, c = bracket_factors(d, comp, basis, xi)
     main = conjugated_ladder(basis, [w * b0, w * b1], n)
@@ -176,6 +177,8 @@ def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
         k^(d+1)  [ int tau^lam e^(-r^2 tanh) (P0 + ln tau P1)
                    + M(kappa,k) int tau^lam e^(-r^2 tanh) P1 ],
     with lam = weight_exponent(d, n).  P1 vanishes identically for even d.
+    xi is a float coupling or a pair (one, xi); XI_SLOPE gives the exact
+    xi-slopes of P0 and P1.
     """
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")

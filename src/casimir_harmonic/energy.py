@@ -60,6 +60,8 @@ def bulk_energy_quadrature(d, n=None, tol=1e-10):
         n = d + 1
     if int(n) != n or n < d + 1:
         raise ValueError("need n >= d+1 parts for a convergent weight exponent")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     n = int(n)
     pref = -1.0 / (2.0 ** (d + 2 - n) * math.sqrt(math.pi))
     for i in range(n):

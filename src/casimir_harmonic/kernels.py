@@ -10,8 +10,13 @@ coefficient for one stress-tensor component: a shared prefactor
 bracket that is affine in the analytic-continuation variable u and (for
 the u^0 part) linear in r^2.  The angular component is the reduced one,
 i.e. with the metric factor (r/k)^2 stripped off.
+
+Every bracket is linear in the coupling vector (one, xi): a float xi
+stands for (1.0, xi), and ``XI_SLOPE`` = (0.0, 1.0) gives the exact
+xi-slope of anything built from the brackets.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +24,11 @@ import numpy as np
 
 from .jets import Jet, jet_lift_and_compose as lift, sinhc_jet
 
+# In d = 1, "theta1theta1_reduced" is the formal contraction with a unit
+# vector orthogonal to x; it is not a component of the d = 1 tensor.
 COMPONENTS = ("tt", "rr", "theta1theta1_reduced")
+
+XI_SLOPE = (0.0, 1.0)
 
 
 def xi_conformal(d):
@@ -27,6 +36,14 @@ def xi_conformal(d):
     if d < 1:
         raise ValueError("need d >= 1")
     return (d - 1.0) / (4.0 * d)
+
+
+def part_coupling(d, xi, part):
+    """The coupling whose profile is the given part of a component at xi."""
+    couplings = {"diamond": xi_conformal(d), "square": XI_SLOPE, "raw": xi}
+    if part not in couplings:
+        raise ValueError("part must be 'diamond', 'square', or 'raw'")
+    return couplings[part]
 
 
 @dataclass
@@ -40,6 +57,8 @@ class HarmonicConfig:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ValueError("stress-tensor pipelines are implemented for d in {1, 2, 3}")
+        if not all(math.isfinite(v) for v in (self.k, self.kappa, self.xi)):
+            raise ValueError("k, kappa and xi must be finite")
         if self.k <= 0.0 or self.kappa <= 0.0:
             raise ValueError("scales k and kappa must be positive")
 
@@ -122,11 +141,14 @@ def bracket_factors(d, comp, basis, xi):
     Returns (w, b0, b1, c) with
       H(u; r) = w * e^(-r^2 tanh tau) * [ (b0 + b1 r^2) + u * c ],
     w = (1/8)(4 pi)^(-d/2) ratio^(d/2); all four are jets in the basis chart.
+    xi is a float coupling or a pair (one, xi); b0, b1 and c are linear in
+    the pair, so XI_SLOPE yields their exact xi-slopes.
     """
     if d not in (1, 2, 3):
         raise ValueError("bracket_factors implemented for d in {1, 2, 3}")
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")
+    one, xi = xi if isinstance(xi, tuple) else (1.0, xi)
     ratio = basis.ratio
     if d == 2:
         root = ratio
@@ -137,19 +159,20 @@ def bracket_factors(d, comp, basis, xi):
     w = root * (0.125 * (4.0 * np.pi) ** (-0.5 * d))
 
     if comp == "tt":
-        b0 = (1.0 - 4.0 * xi) * float(d) * ratio - (1.0 + 4.0 * xi)
+        b0 = (one - 4.0 * xi) * float(d) * ratio - (one + 4.0 * xi)
         # ratio * sinh(4 tau)/(2 cosh(tau)^2) collapses to 2 tau cosh(2 tau)/cosh(tau)^2
-        b1 = basis.tau * basis.cosh2 * basis.inv_cosh2 * (2.0 * (1.0 - 4.0 * xi))
-        c = 1.0 + 4.0 * xi
+        b1 = basis.tau * basis.cosh2 * basis.inv_cosh2 * (2.0 * (one - 4.0 * xi))
+        c = one + 4.0 * xi
     elif comp == "rr":
-        b0 = ratio * ((2.0 - d) + 4.0 * (d - 1.0) * xi + 4.0 * xi * basis.cosh2) - (1.0 - 4.0 * xi)
-        b1 = basis.tau * basis.inv_cosh2 * (-2.0 * (1.0 - 4.0 * xi))
-        c = 1.0 - 4.0 * xi
+        b0 = ratio * ((2.0 - d) * one + 4.0 * (d - 1.0) * xi + 4.0 * xi * basis.cosh2) \
+            - (one - 4.0 * xi)
+        b1 = basis.tau * basis.inv_cosh2 * (-2.0 * (one - 4.0 * xi))
+        c = one - 4.0 * xi
     else:
-        b0 = (ratio * 0.5) * (2.0 * (2.0 - d) + 8.0 * d * xi) \
-            + (basis.tau * basis.th) * (8.0 * xi) - (1.0 - 4.0 * xi)
-        b1 = basis.tau * basis.cosh2 * basis.inv_cosh2 * (-2.0 * (1.0 - 4.0 * xi))
-        c = 1.0 - 4.0 * xi
+        b0 = (ratio * 0.5) * (2.0 * (2.0 - d) * one + 8.0 * d * xi) \
+            + (basis.tau * basis.th) * (8.0 * xi) - (one - 4.0 * xi)
+        b1 = basis.tau * basis.cosh2 * basis.inv_cosh2 * (-2.0 * (one - 4.0 * xi))
+        c = one - 4.0 * xi
     return w, b0, b1, c
 
 

@@ -9,15 +9,16 @@ with t0, t1 given by tau-integrals of the continued polynomials from
 ``continuation``.  t1 vanishes identically in even d, so the renormalized
 tensor is subtraction-scale independent there.  ``conformal_split``
 separates every component into its value at the conformal coupling and
-the exact affine xi-slope.
+its exact xi-slope, the profiles at the coupling ``XI_SLOPE``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .continuation import build_P_polynomials, renorm_scale_constant
-from .kernels import COMPONENTS, HarmonicConfig, xi_conformal
+from .kernels import COMPONENTS, part_coupling
 from .quadrature import WeightedIntegrand, integrate_semiaxis
 
 
@@ -37,13 +38,22 @@ def _profile_integral(poly, r, log_power, tol):
     return value, err
 
 
-def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None):
-    """The pair (t0, t1) for one component at dimensionless radius r."""
+def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None):
+    """The pair (t0, t1) for one component at dimensionless radius r.
+
+    coupling replaces cfg.xi by any coupling ``bracket_factors`` takes;
+    XI_SLOPE gives the exact xi-slopes of t0 and t1.  In d = 1,
+    "theta1theta1_reduced" is the formal contraction with a unit vector
+    orthogonal to x, not a component of the d = 1 tensor.
+    """
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")
-    if r < 0.0:
-        raise ValueError("radius must be >= 0")
-    p0, p1 = build_P_polynomials(cfg.d, comp, cfg.xi, n=n, pipeline=pipeline)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError("radius must be finite and >= 0")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+    xi = cfg.xi if coupling is None else coupling
+    p0, p1 = build_P_polynomials(cfg.d, comp, xi, n=n, pipeline=pipeline)
     t0, _ = _profile_integral(p0, r, 0, tol / 3.0)
     if cfg.d % 2 == 0:
         return t0, 0.0
@@ -52,30 +62,28 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None):
     return t0 + t0_log, t1
 
 
-def stress_component(cfg, comp, r, tol=1e-9):
-    """Renormalized <T_comp> at radius r (in units of 1/k) for cfg."""
-    t0, t1 = stress_profiles(cfg, comp, r, tol)
+def _stress_value(cfg, comp, r, profiles):
+    t0, t1 = profiles
     scale = cfg.k ** (cfg.d + 1)
     vev = scale * (t0 + renorm_scale_constant(cfg.kappa_over_k) * t1)
     return StressValue(comp=comp, r=r, t0=t0, t1=t1, vev=vev)
 
 
-def conformal_split(cfg, comp, r, tol=1e-9):
-    """Split into conformal value ('diamond') and affine xi-slope ('square').
+def stress_component(cfg, comp, r, tol=1e-9):
+    """Renormalized <T_comp> at radius r (in units of 1/k) for cfg."""
+    return _stress_value(cfg, comp, r, stress_profiles(cfg, comp, r, tol))
 
-    The integrands are affine in xi, so the slope is recovered exactly from
-    two evaluations: at xi_c and at the reference coupling xi_c + 1/4.
+
+def conformal_split(cfg, comp, r, tol=1e-9):
+    """Split into conformal value ('diamond') and exact xi-slope ('square').
+
+    The brackets are linear in the coupling (one, xi), so the square part is
+    the component evaluated at XI_SLOPE, and the value at any xi is
+    diamond + (xi - xi_c) * square.
     """
-    xi_c = xi_conformal(cfg.d)
-    base = HarmonicConfig(cfg.d, cfg.k, cfg.kappa, xi_c)
-    ref = HarmonicConfig(cfg.d, cfg.k, cfg.kappa, xi_c + 0.25)
-    dia = stress_component(base, comp, r, tol)
-    at_ref = stress_component(ref, comp, r, tol)
-    sq = StressValue(comp=comp, r=r,
-                     t0=4.0 * (at_ref.t0 - dia.t0),
-                     t1=4.0 * (at_ref.t1 - dia.t1),
-                     vev=4.0 * (at_ref.vev - dia.vev))
-    return {"diamond": dia, "square": sq}
+    return {part: _stress_value(cfg, comp, r, stress_profiles(
+                cfg, comp, r, tol, coupling=part_coupling(cfg.d, cfg.xi, part)))
+            for part in ("diamond", "square")}
 
 
 def stress_grid(cfg, comp, r_values, tol=1e-9):

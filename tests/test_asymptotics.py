@@ -11,17 +11,23 @@ import mpmath
 import numpy as np
 import pytest
 
-from casimir_harmonic.asymptotics import (ConformalSlopeFamily,
-                                          SeriesExpansion, VChartFamily,
+from casimir_harmonic.asymptotics import (SeriesExpansion, VChartFamily,
                                           asymptotic_match_report,
                                           large_r_expansion,
                                           small_r_expansion)
 from casimir_harmonic.continuation import RSquarePoly, build_P_polynomials
 from casimir_harmonic.jets import Jet, derivative, jet_lift_and_compose
-from casimir_harmonic.kernels import HarmonicConfig, xi_conformal
+from casimir_harmonic.kernels import XI_SLOPE, HarmonicConfig, xi_conformal
 from casimir_harmonic.specfun import EULER_GAMMA
 
-mpmath.mp.dps = 25
+
+@pytest.fixture(autouse=True, scope="module")
+def _mpmath_precision():
+    """Run this module's mpmath oracles at 25 digits, whatever the global
+    precision is."""
+    with mpmath.workdps(25):
+        yield
+
 
 PI = math.pi
 
@@ -41,18 +47,9 @@ def test_small_r_d1_tt_conformal_printed_rows():
 
 
 def test_small_r_d3_rr_square_leading_row():
-    lo = build_P_polynomials(3, "rr", xi_conformal(3))
-    hi = build_P_polynomials(3, "rr", xi_conformal(3) + 0.25)
-
-    def scaled_diff(idx):
-        return RSquarePoly(
-            lo[idx].degree,
-            lambda t, i=idx: 4.0 * (hi[i].coefficient_values(t)
-                                    - lo[i].coefficient_values(t)),
-            lo[idx].lam)
-
+    p0, p1 = build_P_polynomials(3, "rr", XI_SLOPE)
     # odd d: the t0 profile carries both the plain and the ln-tau integrals
-    series = small_r_expansion(scaled_diff(0), scaled_diff(1), 2, tol=1e-10)
+    series = small_r_expansion(p0, p1, 2, tol=1e-10)
     assert series.rows[0].coefficient == pytest.approx(0.0095, abs=1.5e-4)
 
 
@@ -125,7 +122,7 @@ def test_large_r_d2_tt_conformal_rows_log_free():
 
 
 def test_large_r_d3_rr_square_rows():
-    _, limit = large_r_expansion(ConformalSlopeFamily(3, "rr"))
+    _, limit = large_r_expansion(VChartFamily(3, "rr", XI_SLOPE))
     assert limit.coefficient(0.0, has_log=True) == pytest.approx(
         1.0 / (4.0 * PI * PI), rel=1e-9)
     assert limit.coefficient(0.0) == pytest.approx(
@@ -157,7 +154,7 @@ def test_finite_vs_limit_tail_consistency():
 
 @pytest.mark.parametrize("family", [VChartFamily(1, "tt", 0.0),
                                     VChartFamily(2, "rr", 0.125),
-                                    ConformalSlopeFamily(3, "tt")])
+                                    VChartFamily(3, "tt", XI_SLOPE)])
 def test_limit_rows_independent_of_v0(family):
     _, at_03 = large_r_expansion(family, v0=0.3)
     _, at_07 = large_r_expansion(family, v0=0.7)

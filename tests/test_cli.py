@@ -146,6 +146,35 @@ def test_bad_xi_exits_2(capsys):
     assert "xi" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["stress", "--d", "1", "--xi", "nan"],
+    ["stress", "--d", "2", "--xi", "inf"],
+    ["stress", "--d", "1", "--r", "0", "inf", "3"],
+    ["stress", "--d", "3", "--r", "nan", "1", "3"],
+    ["stress", "--d", "1", "--r-max", "nan"],
+    ["stress", "--d", "1", "--tol", "nan"],
+    ["stress", "--d", "1", "--kappa-over-k", "nan"],
+    ["stress", "--d", "1", "--k", "inf"],
+    ["stress", "--d", "1", "--k", "0"],
+    ["asympt", "--d", "2", "--xi=-inf"],
+    ["asympt", "--d", "2", "--r", "5", "nan", "2"],
+    ["energy", "--d", "1", "--tol", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_nonfinite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
+def test_d1_angular_component_carries_a_note(capsys):
+    code, out, _ = run(capsys, "stress", "--d", "1", "--component",
+                       "theta1theta1_reduced", "--r", "0", "0", "1")
+    assert code == 0
+    _, _, notes = parse_csv(out)
+    assert any("not a component of the d=1 tensor" in n for n in notes)
+
+
 def test_unknown_criterion_exits_2(capsys):
     code, _, err = run(capsys, "selftest", "--criteria", "1,99")
     assert code == 2

@@ -24,7 +24,14 @@ from casimir_harmonic.energy import (
     spectral_trace_oracle,
 )
 
-mpmath.mp.dps = 30
+
+@pytest.fixture(autouse=True, scope="module")
+def _mpmath_precision():
+    """Run this module's mpmath oracles at 30 digits, whatever the global
+    precision is."""
+    with mpmath.workdps(30):
+        yield
+
 
 # Frozen reference values (mpmath, dps=30) for the closed-form energies:
 #   d=1: -((sqrt(2)-1)/2) zeta(-1/2)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from casimir_harmonic.jets import (Jet, derivative, jet_lift_and_compose,
                                    sinhc_jet)
 
-mpmath.mp.dps = 30
+
+@pytest.fixture(autouse=True, scope="module")
+def _mpmath_precision():
+    """Run this module's mpmath oracles at 30 digits, whatever the global
+    precision is."""
+    with mpmath.workdps(30):
+        yield
 
 
 def test_variable_jet_layout():

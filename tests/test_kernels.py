@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from casimir_harmonic.jets import Jet
-from casimir_harmonic.kernels import (COMPONENTS, HarmonicConfig,
+from casimir_harmonic.kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig,
                                       HyperbolicJets, bracket_factors,
                                       h_component, heat_trace,
                                       mehler_kernel_1d, xi_conformal)
 
-mpmath.mp.dps = 30
+
+@pytest.fixture(autouse=True, scope="module")
+def _mpmath_precision():
+    """Run this module's mpmath oracles at 30 digits, whatever the global
+    precision is."""
+    with mpmath.workdps(30):
+        yield
 
 
 def _gl_nodes(n, half_width):
@@ -127,6 +133,25 @@ def test_bracket_affine_in_xi(d, comp):
 
     mid, lo, hi = h0(0.15), h0(0.0), h0(0.3)
     assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("chart", ["tau", "tanh"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("comp", COMPONENTS)
+def test_bracket_xi_slope_is_unit_xi_difference(comp, d, chart):
+    """bracket_factors at XI_SLOPE equals bracket(xi + 1) - bracket(xi)."""
+    taus = np.array([0.2, 0.9, 3.0])
+    if chart == "tau":
+        basis = HyperbolicJets.from_tau(Jet.variable(taus, 3))
+    else:
+        basis = HyperbolicJets.from_tanh(Jet.variable(np.tanh(taus), 3))
+    xi = 0.13
+    _, *slope = bracket_factors(d, comp, basis, XI_SLOPE)
+    _, *lo = bracket_factors(d, comp, basis, xi)
+    _, *hi = bracket_factors(d, comp, basis, xi + 1.0)
+    for got, a, b in zip(slope, hi, lo):
+        got, want = (np.asarray(getattr(x, "coeffs", x)) for x in (got, a - b))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("comp", COMPONENTS)

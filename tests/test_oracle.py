@@ -19,12 +19,19 @@ import mpmath
 import pytest
 
 import stress_oracle as oracle
-from casimir_harmonic import (HarmonicConfig, VChartFamily, build_P_polynomials,
-                              conformal_split, large_r_expansion,
-                              small_r_expansion, stress_profiles,
-                              xi_conformal)
+from casimir_harmonic import (XI_SLOPE, HarmonicConfig, VChartFamily,
+                              build_P_polynomials, conformal_split,
+                              large_r_expansion, small_r_expansion,
+                              stress_profiles, xi_conformal)
 
 AGREE = 1e-10
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _mpmath_precision():
+    """Do the test-side mpmath arithmetic at the oracle's own precision."""
+    with mpmath.workdps(oracle.DPS):
+        yield
 
 
 @pytest.mark.parametrize("d, comp, xi, r", [
@@ -67,22 +74,17 @@ def test_d1_rr_square_part_vanishes(r):
 
 
 @functools.lru_cache(maxsize=None)
-def _package_series(d, comp, xi):
+def _package_series(d, comp, coupling):
     """Package coefficients of r^0, r^2, r^4 of the t0 profile."""
-    p0, p1 = build_P_polynomials(d, comp, xi)
+    p0, p1 = build_P_polynomials(d, comp, coupling)
     series = small_r_expansion(p0, p1 if d % 2 == 1 else None, 2, tol=1e-11)
     return [row.coefficient for row in series.rows]
 
 
 def _package_coefficient(d, comp, part, r_power):
-    # the series is linear in the polynomials, so the xi-slope is the same
-    # 4 (value at xi_c + 1/4 - value at xi_c) the package uses
-    xi_c = xi_conformal(d)
-    lo = _package_series(d, comp, xi_c)[r_power // 2]
-    if part == "diamond":
-        return lo
-    hi = _package_series(d, comp, xi_c + 0.25)[r_power // 2]
-    return 4.0 * (hi - lo)
+    # the square part is the package's own exact xi-slope route, XI_SLOPE
+    coupling = xi_conformal(d) if part == "diamond" else XI_SLOPE
+    return _package_series(d, comp, coupling)[r_power // 2]
 
 
 # Criterion 4 entries (profile t0) that the oracle re-pinned:

@@ -9,7 +9,14 @@ from casimir_harmonic.specfun import (EULER_GAMMA, digamma, g_log_gamma,
                                       gamma, hurwitz_zeta, lower_gamma,
                                       riemann_zeta, upper_gamma)
 
-mpmath.mp.dps = 30
+
+@pytest.fixture(autouse=True, scope="module")
+def _mpmath_precision():
+    """Run this module's mpmath oracles at 30 digits, whatever the global
+    precision is."""
+    with mpmath.workdps(30):
+        yield
+
 
 # frozen from an independent 25-digit run
 ZETA_MINUS_HALF = -0.20788622497735456602

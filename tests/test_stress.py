@@ -11,6 +11,7 @@ import math
 import pytest
 
 from casimir_harmonic.continuation import renorm_scale_constant
+from casimir_harmonic.energy import bulk_energy_quadrature
 from casimir_harmonic.kernels import COMPONENTS, HarmonicConfig, xi_conformal
 from casimir_harmonic.stress import (StressValue, conformal_split,
                                      stress_component, stress_grid,
@@ -71,11 +72,36 @@ def test_conformal_coupling_values():
 
 @pytest.mark.parametrize("xi", [0.1, 0.25])
 def test_split_reconstructs_direct_value(xi):
-    cfg = HarmonicConfig(d=1, xi=xi)
-    parts = conformal_split(cfg, "rr", 0.7, tol=1e-10)
-    direct = stress_component(cfg, "rr", 0.7, tol=1e-10)
-    rebuilt = parts["diamond"].vev + (xi - 0.0) * parts["square"].vev
-    assert direct.vev == pytest.approx(rebuilt, abs=1e-9)
+    # the square part is the exact xi-slope, for every (d, component)
+    for d in (1, 2, 3):
+        cfg = HarmonicConfig(d=d, xi=xi, kappa=1.7)
+        for comp in COMPONENTS:
+            parts = conformal_split(cfg, comp, 0.7, tol=1e-10)
+            direct = stress_component(cfg, comp, 0.7, tol=1e-10)
+            step = xi - xi_conformal(d)
+            for field in ("t0", "t1", "vev"):
+                rebuilt = (getattr(parts["diamond"], field)
+                           + step * getattr(parts["square"], field))
+                assert getattr(direct, field) == pytest.approx(rebuilt, abs=1e-9), \
+                    (d, comp, field)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HarmonicConfig(d=1, k=math.nan),
+    lambda: HarmonicConfig(d=1, kappa=math.inf),
+    lambda: HarmonicConfig(d=1, xi=math.inf),
+    lambda: HarmonicConfig(d=1, xi=math.nan),
+    lambda: stress_profiles(HarmonicConfig(d=1), "tt", math.nan),
+    lambda: stress_profiles(HarmonicConfig(d=1), "tt", math.inf),
+    lambda: stress_profiles(HarmonicConfig(d=1), "tt", 1.0, tol=math.nan),
+    lambda: stress_component(HarmonicConfig(d=3), "rr", math.inf),
+    lambda: bulk_energy_quadrature(1, tol=math.nan),
+], ids=["k_nan", "kappa_inf", "xi_inf", "xi_nan", "r_nan", "r_inf",
+        "tol_nan", "component_r_inf", "energy_tol_nan"])
+def test_nonfinite_input_is_a_validation_error(call):
+    # not a QuadratureError and not a silent NaN
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_d1_rr_square_part_origin():

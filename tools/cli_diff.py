@@ -1,0 +1,99 @@
+"""Compare the CLI output of two source trees, request by request.
+
+    python3 tools/cli_diff.py OLD_TREE NEW_TREE
+
+Runs 27 ``stress``, 18 ``asympt``, 3 ``energy`` requests and ``selftest`` with each
+tree's ``src`` on PYTHONPATH, two requests at a time.  Per request it prints
+"byte-identical" or each changed cell ([row key] column: old -> new |delta|, keyed by
+the kind, r_power, has_log, r, d and criterion cells), added (+) and removed (-) rows
+and notes.  Stdlib only.
+"""
+
+import argparse
+import itertools
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+KEY_COLUMNS = ("kind", "r_power", "has_log", "r", "d", "criterion")
+
+
+def requests():
+    stress = itertools.product("123", ("tt", "rr", "theta1theta1_reduced"), ("conformal", "0", "0.3"))
+    asympt = itertools.product("123", ("diamond", "square", "raw"), ("tt", "rr"))
+    return ([["stress", "--d", d, "--component", c, "--xi", xi, "--r", "0", "7", "4",
+              "--kappa-over-k", "1.7"] for d, c, xi in stress]
+            + [["asympt", "--d", d, "--part", p, "--component", c, "--xi", "0.2",
+                "--r", "4.5", "11", "2"] for d, p, c in asympt]
+            + [["energy", "--d", d] for d in "123"] + [["selftest"]])
+
+
+def run(tree, argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, "-m", "casimir_harmonic.cli"] + argv,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def parse(text):
+    """({row key: {column: cell}}, notes) of one CSV table."""
+    lines = text.splitlines()
+    body = [ln for ln in lines if not ln.startswith("#")] or [""]
+    columns = body[0].split(",")
+    rows = (dict(zip(columns, ln.split(","))) for ln in body[1:])
+    keyed = {",".join(row[c] for c in columns if c in KEY_COLUMNS): row for row in rows}
+    return keyed, [ln for ln in lines if ln.startswith("# note: ")]
+
+
+def delta(old, new):
+    try:
+        return abs(float(new) - float(old))
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(old, new):
+    """Report lines for one request (none if byte-identical) and its largest |delta|."""
+    lines, worst = [], 0.0
+    if old[0] != new[0]:
+        lines.append("exit code %d -> %d" % (old[0], new[0]))
+    (old_rows, old_notes), (new_rows, new_notes) = parse(old[1]), parse(new[1])
+    for key in sorted(old_rows.keys() | new_rows.keys()):
+        a, b = old_rows.get(key), new_rows.get(key)
+        if a is None or b is None:
+            lines.append("%s row [%s] %s" % ("-" if b is None else "+", key, ",".join((a or b).values())))
+            continue
+        for column, cell in a.items():
+            if cell != b.get(column):
+                d = delta(cell, b.get(column))
+                worst = max(worst, d or 0.0)
+                lines.append("[%s] %s: %s -> %s |delta| %s" % (
+                    key, column, cell, b.get(column), "-" if d is None else "%.3g" % d))
+    lines += ["- " + n for n in old_notes if n not in new_notes]
+    lines += ["+ " + n for n in new_notes if n not in old_notes]
+    return lines or (["output differs outside rows and notes"] if old != new else []), worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs=2, metavar="TREE", help="the old tree, then the new one")
+    args = parser.parse_args(argv)
+    todo = requests()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outputs = pool.map(lambda a: tuple(run(tree, a) for tree in args.trees), todo)
+        identical, worst = 0, 0.0
+        for request, (old, new) in zip(todo, outputs):
+            lines, w = compare(old, new)
+            identical += not lines
+            worst = max(worst, w)
+            print(" ".join(request) + (": changed" if lines else ": byte-identical"))
+            for line in lines:
+                print("    " + line)
+    print("summary: %d of %d requests byte-identical; largest numeric |delta| %.3g"
+          % (identical, len(todo), worst))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
