@@ -19,12 +19,14 @@ from casimir_harmonic import (
 
 d = 1
 print(f"Small-radius rows, d={d}, tt component, conformal part:")
-# odd d: the t0 profile carries both the plain and the ln-tau integrals
+# P0 and P1 come from one ladder pass; in odd d the t0 profile carries
+# both the plain and the ln-tau integrals, and one quadrature call takes
+# every tau-moment of both
 p0, p1 = build_P_polynomials(d, "tt", xi_conformal(d))
-series = small_r_expansion(p0, p1, 3, tol=1e-10)
-for row in series.rows:
+series = small_r_expansion(p0, p1 if d % 2 == 1 else None, 3, tol=1e-10)
+for row, err in zip(series.rows, series.remainder["coefficient_errors"]):
     tag = " * ln r" if row.has_log else ""
-    print(f"  r^{int(row.r_power)}: {row.coefficient:+.10f}{tag}")
+    print(f"  r^{int(row.r_power)}: {row.coefficient:+.10f}{tag}  (quadrature error {err:.1e})")
 print(f"  valid for {series.remainder['validity']}, remainder "
       f"O(r^{int(series.remainder['r_power'])})")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import p_constants, u_affine_ladder, weight_exponent
+from .continuation import p_constants, p_from_ladder, u_affine_ladder, weight_exponent
 from .jets import Jet, jet_lift_and_compose as lift
 from .kernels import COMPONENTS, HyperbolicJets, part_coupling
 from .quadrature import WeightedIntegrand, integrate_semiaxis, integrate_unit_interval
@@ -76,44 +76,45 @@ def small_r_expansion(poly_main, poly_log, n_terms, tol=1e-9):
         raise ValueError("main and log parts must share one tau weight")
     deg = poly_main.degree
 
-    def moment(poly, j, k, log_power):
-        def smooth(t):
-            return poly.coefficient_values(t)[j] * np.tanh(t) ** k
-        return integrate_semiaxis(WeightedIntegrand(lam, log_power, smooth), tol)
+    # every moment int tau^lam c_j tanh^(i-j) in one call, then with ln tau
+    terms = [(i, j) for i in range(n_terms + 1) for j in range(min(i, deg) + 1)]
 
-    coeffs = []
-    for i in range(n_terms + 1):
-        acc, acc_err = 0.0, 0.0
-        for j in range(min(i, deg) + 1):
-            k = i - j
-            sign = (-1.0) ** k / math.factorial(k)
-            v, e = moment(poly_main, j, k, 0)
-            acc += sign * v
-            acc_err += abs(sign) * e
-            if poly_log is not None:
-                v, e = moment(poly_log, j, k, 1)
-                acc += sign * v
-                acc_err += abs(sign) * e
-        coeffs.append((acc, acc_err))
+    def moments(t):
+        th, c = np.tanh(t), poly_main.coefficient_values(t)
+        rows = [c[j] * th ** (i - j) for i, j in terms]
+        if poly_log is not None:
+            ln, c = np.log(t), poly_log.coefficient_values(t)
+            rows += [ln * (c[j] * th ** (i - j)) for i, j in terms]
+        return np.array(rows)
+
+    values, errors = integrate_semiaxis(WeightedIntegrand(lam, moments), tol)
+    acc, acc_err = [0.0] * (n_terms + 1), [0.0] * (n_terms + 1)
+    for m, (i, j) in enumerate(terms):
+        sign = (-1.0) ** (i - j) / math.factorial(i - j)
+        for v, e in zip(values[m::len(terms)], errors[m::len(terms)]):
+            acc[i] += sign * v
+            acc_err[i] += abs(sign) * e
 
     # remainder constant: Taylor tail of exp(-r^2 tanh) per r^2-coefficient
     big_n = n_terms
-    c_rem = 0.0
-    for i in range(min(big_n + 1, deg) + 1):
-        k = big_n + 1 - i
+    kept = range(min(big_n + 1, deg) + 1)
 
-        def abs_smooth(t, _i=i, _k=k):
-            m = poly_main.coefficient_values(t)[_i]
-            if poly_log is not None:
-                m = m + np.log(t) * poly_log.coefficient_values(t)[_i]
-            return np.abs(m) * np.tanh(t) ** max(_k, 0)
-        v, e = integrate_semiaxis(WeightedIntegrand(lam, 0, abs_smooth), 1e-8)
-        c_rem += (v + e) / math.factorial(max(k, 0))
+    def abs_moments(t):
+        m = poly_main.coefficient_values(t)
+        if poly_log is not None:
+            m = m + np.log(t) * poly_log.coefficient_values(t)
+        th = np.tanh(t)
+        return np.array([np.abs(m[i]) * th ** (big_n + 1 - i) for i in kept])
+
+    values, errors = integrate_semiaxis(WeightedIntegrand(lam, abs_moments), 1e-8)
+    c_rem = 0.0
+    for i, v, e in zip(kept, values, errors):
+        c_rem += (v + e) / math.factorial(big_n + 1 - i)
     validity = "r > 0" if deg <= big_n + 1 else "0 < r <= 1"
 
-    rows = [Row(2.0 * i, False, c) for i, (c, _) in enumerate(coeffs)]
+    rows = [Row(2.0 * i, False, c) for i, c in enumerate(acc)]
     remainder = {"r_power": 2.0 * (big_n + 1), "F": c_rem, "validity": validity,
-                 "coefficient_errors": [e for _, e in coeffs]}
+                 "coefficient_errors": acc_err}
     return SeriesExpansion(rows, remainder)
 
 
@@ -150,19 +151,11 @@ class VChartFamily:
         pref = lift("pow", basis.ratio, self.lam) * \
             lift("pow", one_minus, -(1.0 + self.lam))
         ln_reg = lift("log", basis.ratio) - lift("log", one_minus)
-        q0, q1 = [], []
-        for i in range(self.degree + 1):
-            g0 = main[i]
-            g1 = slope[i] if i < len(slope) else Jet.const(np.zeros(np.shape(g0.coeffs[0])), g0.order)
-            p1_i = self.b_main * g0
-            if self.profile == 1:
-                q0.append(pref * p1_i)
-                q1.append(0.0 * p1_i)
-            else:
-                p0_i = self.a_main * g0 + self.a_slope * g1
-                q0.append(pref * (p0_i + ln_reg * p1_i))
-                q1.append(pref * p1_i)
-        return q0, q1
+        p0, p1 = p_from_ladder(main, slope, self.a_main, self.a_slope, self.b_main)
+        if self.profile == 1:
+            return [pref * p for p in p1], [0.0 * p for p in p1]
+        return ([pref * (a + ln_reg * b) for a, b in zip(p0, p1)],
+                [pref * b for b in p1])
 
 
 class FiniteLargeR:
@@ -182,22 +175,12 @@ class FiniteLargeR:
 
     def rows_at(self, r):
         z0 = self.v0 * r * r
-        by_power = {}
-        for i, m, q0, q1 in self.entries:
-            s = m + self.lam + 1.0
-            p = 2.0 * (i - m) - 2.0 * self.lam - 2.0
+
+        def contribution(s, q0, q1):
             lg = lower_gamma(s, z0)
-            glg = g_log_gamma(s, z0)
-            slot = by_power.setdefault(round(p * 2), [0.0, 0.0, p])
-            slot[0] += q0 * lg + q1 * glg
-            slot[1] += -q1 * lg
-        rows = []
-        for key in sorted(by_power, reverse=True):
-            a, b, p = by_power[key]
-            rows.append(Row(p, False, a))
-            if b != 0.0:
-                rows.append(Row(p, True, b))
-        return SeriesExpansion(rows, dict(self.remainder))
+            return q0 * lg + q1 * g_log_gamma(s, z0), -q1 * lg
+        return SeriesExpansion(_power_rows(self.entries, self.lam, contribution),
+                               dict(self.remainder))
 
     def evaluate(self, r):
         return self.rows_at(r).evaluate(r)
@@ -218,6 +201,27 @@ class FiniteLargeR:
 
 def _supremum_nodes(v0):
     return np.linspace(v0 / 513.0, v0, 513)
+
+
+def _power_rows(entries, lam, contribution):
+    """Rows of a large-r form, leading power first; contribution(s, q0, q1) is
+    an entry's (plain, log) pair.  A log row of rounding noise is dropped."""
+    by_power = {}
+    for i, m, q0, q1 in entries:
+        s = m + lam + 1.0
+        p = 2.0 * (i - m) - 2.0 * lam - 2.0
+        a, b = contribution(s, q0, q1)
+        slot = by_power.setdefault(round(p * 2), [0.0, 0.0, 0.0, p])
+        slot[0] += a
+        slot[1] += b
+        slot[2] += abs(b)
+    rows = []
+    for key in sorted(by_power, reverse=True):
+        a, b, size, p = by_power[key]
+        rows.append(Row(p, False, a))
+        if abs(b) > 64.0 * np.finfo(float).eps * size:
+            rows.append(Row(p, True, b))
+    return rows
 
 
 def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
@@ -244,6 +248,7 @@ def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
     # Taylor-remainder suprema of the (depth+i)-th v-derivatives on (0, v0]
     nodes = _supremum_nodes(v0)
     samp0, samp1 = family.jets(Jet.variable(nodes, order))
+    tails = _tail_integrals(family, v0, tail_tol)
     f_const, g_const = 0.0, 0.0
     for i in range(deg + 1):
         mi = depth + i            # first dropped Taylor index
@@ -254,41 +259,29 @@ def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
         f_const += s1 / (math.factorial(mi) * sigma * sigma)
         g_const += s1 * gamma(sigma) / math.factorial(mi)
         # integral tail past v0, folded with e^(-z) <= (p/(e z))^p
-        t_i = _tail_integral(family, i, v0, tail_tol)
-        f_const += t_i * (sigma / (math.e * v0)) ** sigma
+        f_const += tails[i] * (sigma / (math.e * v0)) ** sigma
 
     remainder = {"r_power": -2.0 * (depth + lam + 1.0), "F": f_const, "G": g_const,
                  "validity": "r >= 1"}
     finite = FiniteLargeR(lam, v0, depth, entries, remainder)
 
-    by_power = {}
-    for i, m, q0, q1 in entries:
-        s = m + lam + 1.0
-        p = 2.0 * (i - m) - 2.0 * lam - 2.0
+    def contribution(s, q0, q1):
         gs = gamma(s)
-        slot = by_power.setdefault(round(p * 2), [0.0, 0.0, p])
-        slot[0] += gs * (q0 + digamma(s) * q1)
-        slot[1] += -gs * q1
-    rows = []
-    for key in sorted(by_power, reverse=True):
-        a, b, p = by_power[key]
-        rows.append(Row(p, False, a))
-        if b != 0.0:
-            rows.append(Row(p, True, b))
-    limit = SeriesExpansion(rows, dict(remainder))
+        return gs * (q0 + digamma(s) * q1), -gs * q1
+    limit = SeriesExpansion(_power_rows(entries, lam, contribution), dict(remainder))
     return finite, limit
 
 
-def _tail_integral(family, i, v0, tol):
-    """int_{v0}^{1} v^lam (|q0_i| + |ln v| |q1_i|) dv, an upper estimate."""
+def _tail_integrals(family, v0, tol):
+    """int_{v0}^{1} v^lam (|q0_i| + |ln v| |q1_i|) dv for every row i, upper estimates."""
     lam = family.lam
 
     def f(x):
         x = np.maximum(np.asarray(x, dtype=float), 1e-12)
         v = 1.0 - (1.0 - v0) * x
         q0, q1 = family.jets(Jet.variable(v, family.n + 1))
-        a = np.abs(np.asarray(q0[i].coeffs[0]))
-        b = np.abs(np.asarray(q1[i].coeffs[0]))
+        a = np.abs([q.coeffs[0] for q in q0])
+        b = np.abs([q.coeffs[0] for q in q1])
         return v ** lam * (a - np.log(v) * b) * (1.0 - v0)
 
     value, err = integrate_unit_interval(f, 0.0, tol)
@@ -307,17 +300,19 @@ def asymptotic_match_report(cfg, comp, part, r_values, v0=0.5, tol=1e-10):
     surviving omitted row.  Note the inverse powers advance in steps of
     four, so that row sits two powers below the last kept one; a slope
     steeper than the remainder-order power of the kept truncation is
-    expected, not a defect.  Empty r_values gives an empty table.
+    expected, not a defect.  Empty r_values gives an empty table.  When
+    every |numeric| is <= tol the profile vanishes to within tol:
+    "vanishes" is True and every slope is NaN.
     """
     d = cfg.d
     depth = _REPORT_DEPTH[d]
     coupling = part_coupling(d, cfg.xi, part)
     finite, limit = large_r_expansion(VChartFamily(d, comp, coupling), depth=depth, v0=v0)
 
+    radii = [float(r) for r in r_values]
+    numerics = stress_profiles(cfg, comp, np.array(radii), tol, coupling=coupling)[0]
     rows = []
-    for r in r_values:
-        r = float(r)
-        numeric = stress_profiles(cfg, comp, r, tol, coupling=coupling)[0]
+    for r, numeric in zip(radii, numerics):
         series = limit.evaluate(r)
         diff = abs(numeric - series)
         bound = limit.remainder_bound(r) + finite.gamma_tail_bound(r)
@@ -325,13 +320,15 @@ def asymptotic_match_report(cfg, comp, part, r_values, v0=0.5, tol=1e-10):
                      "finite_series": finite.evaluate(r),
                      "abs_diff": diff, "bound": bound,
                      "within_bound": diff <= bound})
+    # the residuals of a profile that vanishes to within tol are rounding noise
+    vanishes = bool(rows) and all(abs(row["numeric"]) <= tol for row in rows)
     slopes = []
     for lo, hi in zip(rows, rows[1:]):
-        if lo["abs_diff"] > 0.0 and hi["abs_diff"] > 0.0:
+        if lo["abs_diff"] > 0.0 and hi["abs_diff"] > 0.0 and not vanishes:
             slopes.append(math.log(hi["abs_diff"] / lo["abs_diff"])
                           / math.log(hi["r"] / lo["r"]))
         else:
             slopes.append(math.nan)
     return {"component": comp, "part": part, "depth": depth,
             "remainder_power": limit.remainder["r_power"],
-            "rows": rows, "slopes": slopes}
+            "rows": rows, "slopes": slopes, "vanishes": vanishes}

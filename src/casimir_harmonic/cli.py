@@ -195,11 +195,12 @@ def _parse_xi(text: str) -> Callable[[int], float]:
 
 def _radius_grid(args) -> np.ndarray:
     if args.r is not None:
-        r_min, r_max, r_steps = args.r[0], args.r[1], int(args.r[2])
+        r_min, r_max, r_steps = args.r
     else:
         r_min, r_max, r_steps = args.r_min, args.r_max, args.r_steps
-    if r_steps < 1:
-        raise ValidationFailure("r_steps must be at least 1")
+    if not (math.isfinite(r_steps) and r_steps == int(r_steps) and r_steps >= 1):
+        raise ValidationFailure("r_steps (STEPS) must be a finite integer >= 1")
+    r_steps = int(r_steps)
     if not (math.isfinite(r_min) and math.isfinite(r_max)):
         raise ValidationFailure("r_min and r_max must be finite")
     if r_min < 0:
@@ -255,21 +256,15 @@ def _run_stress(args) -> int:
         "component", "t0", "t1", "vev",
         "t0_diamond", "t1_diamond", "t0_square", "t1_square",
     ]
-    rows = []
-    for r in grid:
-        parts = conformal_split(cfg, args.component, float(r), tol=args.tol)
-        # At xi = xi_c the full value is the diamond part, bit for bit.
-        full = (parts["diamond"] if cfg.xi == xi_conformal(cfg.d)
-                else stress_component(cfg, args.component, float(r), tol=args.tol))
-        row = [float(r)]
-        if with_x:
-            row.append(float(r) / cfg.k)
-        row += [
-            args.component, full.t0, full.t1, full.vev,
-            parts["diamond"].t0, parts["diamond"].t1,
-            parts["square"].t0, parts["square"].t1,
-        ]
-        rows.append(row)
+    parts = conformal_split(cfg, args.component, grid, tol=args.tol)
+    # At xi = xi_c the full value is the diamond part, bit for bit.
+    full = (parts["diamond"] if cfg.xi == xi_conformal(cfg.d)
+            else stress_component(cfg, args.component, grid, tol=args.tol))
+    columns_of = [full.t0, full.t1, full.vev, parts["diamond"].t0,
+                  parts["diamond"].t1, parts["square"].t0, parts["square"].t1]
+    rows = [[float(r)] + ([float(r) / cfg.k] if with_x else [])
+            + [args.component] + [column[i] for column in columns_of]
+            for i, r in enumerate(grid)]
     diagnostics = []
     if args.component == "theta1theta1_reduced":
         diagnostics.append(
@@ -287,6 +282,8 @@ def _run_asympt(args) -> int:
     xi_of_d = _parse_xi(args.xi)
     cfg = _harmonic_config(args, xi_of_d)
     grid = _radius_grid(args)
+    if np.any(grid <= 0.0):
+        raise ValidationFailure("asympt radii must be > 0")
     rows = []
     coupling = part_coupling(cfg.d, cfg.xi, args.part)
     p0, p1 = build_P_polynomials(cfg.d, args.component, coupling)
@@ -301,8 +298,8 @@ def _run_asympt(args) -> int:
     for row in limit.rows:
         rows.append(["large_r_limit", row.r_power, row.has_log,
                      row.coefficient, None, None, None, None, None, None])
-    report = asymptotic_match_report(cfg, args.component, args.part,
-                                     [float(r) for r in grid], tol=args.tol)
+    report = asymptotic_match_report(cfg, args.component, args.part, grid,
+                                     tol=args.tol)
     for entry in report["rows"]:
         rows.append(["match", None, None, None, entry["r"], entry["numeric"],
                      entry["series"], entry["abs_diff"], entry["bound"],
@@ -316,6 +313,9 @@ def _run_asympt(args) -> int:
         "match slopes (log-log decay of the residual): %s"
         % " ".join(_fmt(s) for s in report["slopes"]),
     ]
+    if report["vanishes"]:
+        diagnostics.append("the profile vanishes to within tol %s on this grid, so its "
+                           "residuals are rounding noise with no slope" % _fmt(args.tol))
     if cfg.d == 1 and args.component == "theta1theta1_reduced":
         diagnostics.append(_D1_ANGULAR_NOTE)
     _emit(args, _base_config(args, args.d), columns, rows, diagnostics)
@@ -445,8 +445,9 @@ def _c05_remainder_inequality():
     coeff_err = series.remainder["coefficient_errors"]
     cfg = HarmonicConfig(d=1, xi=xi_conformal(1))
     worst_margin = math.inf
-    for r in (0.2, 0.5, 1.0, 2.0):
-        numeric = stress_profiles(cfg, "tt", r, tol=1e-10)[0]
+    radii = (0.2, 0.5, 1.0, 2.0)
+    numerics = stress_profiles(cfg, "tt", np.array(radii), tol=1e-10)[0]
+    for r, numeric in zip(radii, numerics):
         partial = series.evaluate(r)
         slack = 1e-10 + sum(e * r ** (2 * i) for i, e in enumerate(coeff_err))
         margin = bound_c * r ** power + slack - abs(numeric - partial)

@@ -51,7 +51,8 @@ class RSquarePoly:
     """Polynomial in r^2 with tau-dependent coefficients.
 
     ``coeff_fn(tau_nodes)`` must return an array of shape
-    (degree+1, len(tau_nodes)); evaluation broadcasts the powers of r^2.
+    (..., degree+1, len(tau_nodes)); leading axes stack polynomials that
+    share one evaluation.
     """
 
     def __init__(self, degree, coeff_fn, lam):
@@ -63,11 +64,22 @@ class RSquarePoly:
         return self.coeff_fn(np.asarray(tau_nodes, dtype=float))
 
     def values(self, tau_nodes, r):
-        c = self.coefficient_values(tau_nodes)
+        """Shape (..., *shape(r), nodes): r is a radius or an array of radii."""
+        c = np.moveaxis(self.coefficient_values(tau_nodes), -2, 0)
+        c = c.reshape(c.shape[:-1] + (1,) * np.ndim(r) + c.shape[-1:])
+        r2 = np.reshape(r * r, np.shape(r) + (1,))
         out = c[self.degree].copy()
         for i in range(self.degree - 1, -1, -1):
-            out = out * (r * r) + c[i]
+            out = out * r2 + c[i]
         return out
+
+
+class _PPair(RSquarePoly):
+    """P0 and P1 stacked on a leading axis; unpacks as (P0, P1)."""
+
+    def __iter__(self):
+        return (RSquarePoly(self.degree, lambda t, i=i: self.coeff_fn(t)[i], self.lam)
+                for i in (0, 1))
 
 
 def conjugated_ladder(basis, poly, n):
@@ -170,6 +182,14 @@ def p_constants(d, n=None, pipeline=None):
     return c0, 0.0, 0.0, n
 
 
+def p_from_ladder(main, slope, a_main, a_slope, b_main):
+    """Rows of P0 = a_main G0 + a_slope G1 and P1 = b_main G0 from the
+    ladder's u^0 and u^1 rows (G1 has one row fewer than G0)."""
+    p0 = [a_main * g0 + a_slope * g1 for g0, g1 in zip(main, slope)]
+    p0.append(a_main * main[-1])
+    return p0, [b_main * g0 for g0 in main]
+
+
 def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
     """The two integrand polynomials (P0, P1) for one stress component.
 
@@ -178,33 +198,21 @@ def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
                    + M(kappa,k) int tau^lam e^(-r^2 tanh) P1 ],
     with lam = weight_exponent(d, n).  P1 vanishes identically for even d.
     xi is a float coupling or a pair (one, xi); XI_SLOPE gives the exact
-    xi-slopes of P0 and P1.
+    xi-slopes of P0 and P1.  The result is P0 and P1 stacked on a leading
+    axis, from one ladder pass per node set; it unpacks as (P0, P1).
     """
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")
     a_main, a_slope, b_main, n = p_constants(d, n, pipeline)
-    lam = weight_exponent(d, n)
 
-    def _stack(rows, shape):
-        return np.stack([np.broadcast_to(np.asarray(row, dtype=float), shape) for row in rows])
-
-    def coeffs_p0(tau_nodes):
+    def coeffs(tau_nodes):
         basis = HyperbolicJets.from_tau(Jet.variable(tau_nodes, n))
         main, slope = u_affine_ladder(basis, d, comp, xi, n)
-        rows = []
-        for i in range(n + 2):
-            g0 = main[i].value()
-            g1 = slope[i].value() if i < len(slope) else 0.0
-            rows.append(a_main * g0 + a_slope * g1)
-        return _stack(rows, np.shape(tau_nodes))
+        shape = np.shape(tau_nodes)
+        return np.array([[np.broadcast_to(row.value(), shape) for row in rows]
+                         for rows in p_from_ladder(main, slope, a_main, a_slope, b_main)])
 
-    def coeffs_p1(tau_nodes):
-        basis = HyperbolicJets.from_tau(Jet.variable(tau_nodes, n))
-        main, _ = u_affine_ladder(basis, d, comp, xi, n)
-        rows = [b_main * main[i].value() for i in range(n + 2)]
-        return _stack(rows, np.shape(tau_nodes))
-
-    return RSquarePoly(n + 1, coeffs_p0, lam), RSquarePoly(n + 1, coeffs_p1, lam)
+    return _PPair(n + 1, coeffs, weight_exponent(d, n))
 
 
 def ibp_mellin(H, rho, n, sigma, tol=1e-11):
@@ -225,7 +233,7 @@ def ibp_mellin(H, rho, n, sigma, tol=1e-11):
         return derivative(H(Jet.variable(t, n)), n)
 
     alpha = sigma - rho + n - 1.0
-    value, err = integrate_semiaxis(WeightedIntegrand(alpha, 0, smooth), tol)
+    value, err = integrate_semiaxis(WeightedIntegrand(alpha, smooth), tol)
     return (-1.0) ** n / denom * value, abs(err / denom)
 
 

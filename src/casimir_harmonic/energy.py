@@ -67,7 +67,7 @@ def bulk_energy_quadrature(d, n=None, tol=1e-10):
     for i in range(n):
         pref /= 2.0 * (d - i) + 1.0
     value, err = integrate_semiaxis(
-        WeightedIntegrand(n - d - 1.5, 0, _sinh_ratio_deriv(d, n)), tol)
+        WeightedIntegrand(n - d - 1.5, _sinh_ratio_deriv(d, n)), tol)
     return EnergyResult(pref * value, "quadrature", abs(pref) * err)
 
 
@@ -96,7 +96,7 @@ def In_quadrature(n, s, tol=1e-11):
     def smooth(tau):
         return _x_over_sinh(np.asarray(tau, dtype=float)) ** n
 
-    value, _ = integrate_semiaxis(WeightedIntegrand(s - 1.0 - n, 0, smooth), tol)
+    value, _ = integrate_semiaxis(WeightedIntegrand(s - 1.0 - n, smooth), tol)
     return value
 
 
@@ -220,21 +220,15 @@ def boundary_energy_scan(d, u, ell_values, tol=1e-10):
     if u <= d - 3:
         raise ValueError("weight exponent needs u > d-3")
     lam = 0.5 * (u + 1.0 - d)
-    out = []
-    for ell in ell_values:
-        ell = float(ell)
-        if ell < 0.0:
-            raise ValueError("ball radius must be nonnegative")
-        if ell == 0.0:
-            out.append(0.0)
-            continue
+    ell = np.array([float(e) for e in ell_values])[:, None]
+    if np.any(ell < 0.0):
+        raise ValueError("ball radius must be nonnegative")
 
-        def smooth(tau, ell=ell):
-            tau = np.asarray(tau, dtype=float)
-            return (ell ** d * 2.0 ** (-0.5 * d) * _tanh_over_tau(tau)
-                    * _x_over_sinh(2.0 * tau) ** (0.5 * d)
-                    * np.exp(-ell * ell * np.tanh(tau)))
+    def smooth(tau):
+        tau = np.asarray(tau, dtype=float)
+        return (ell ** d * 2.0 ** (-0.5 * d) * _tanh_over_tau(tau)
+                * _x_over_sinh(2.0 * tau) ** (0.5 * d)
+                * np.exp(-ell * ell * np.tanh(tau)))
 
-        value, _ = integrate_semiaxis(WeightedIntegrand(lam, 0, smooth), tol)
-        out.append(value)
-    return out
+    values, _ = integrate_semiaxis(WeightedIntegrand(lam, smooth), tol)
+    return list(values)

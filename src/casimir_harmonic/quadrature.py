@@ -9,10 +9,14 @@ Two entry points:
   double-exponential clustering.
 
 * ``integrate_semiaxis(WeightedIntegrand, tol)`` -- int_0^inf
-  tau^alpha (ln tau)^p f(tau) dtau, split at tau = 1: the unit piece goes
-  through the tanh-sinh rule, the tail through Gauss-Legendre panels on
-  doubling intervals [1,2], [2,4], ... truncated once the panel bound
-  drops below the tolerance.
+  tau^alpha f(tau) dtau, split at tau = 1: the unit piece goes through the
+  tanh-sinh rule, the tail through Gauss-Legendre panels on doubling
+  intervals [1,2], [2,4], ... truncated once the panel bound drops below
+  the tolerance.
+
+f may return shape (..., nodes): each leading entry is an integral of its
+own on the same nodes, with its own stopping rule and error estimate, so
+it gets exactly the value of a call on that entry alone.
 
 Both return ``(value, err_estimate)`` with a deliberately conservative
 estimate (observed true error stays below it on the golden integrals).
@@ -29,16 +33,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class WeightedIntegrand:
-    """tau^alpha (ln tau)^log_power * smooth_part(tau) on (0, inf)."""
+    """tau^alpha * smooth_part(tau) on (0, inf)."""
     alpha: float
-    log_power: int
     smooth_part: object
 
     def __post_init__(self):
         if self.alpha <= -1.0:
             raise ValueError("weight exponent must satisfy alpha > -1")
-        if self.log_power not in (0, 1):
-            raise ValueError("log_power must be 0 or 1")
 
 
 _TMAX = 6.0  # tanh-sinh truncation; keeps |2u| < 700 so nothing underflows
@@ -67,7 +68,7 @@ def _ts_sum(f, lam, h, odd_only):
         x = np.exp(ln_x)
         w = np.exp(lam * ln_x + ln_jac)
         vals = w * np.asarray(f(x), dtype=float)
-        total += np.sum(vals)
+        total += np.sum(vals, axis=-1)
     return total
 
 
@@ -77,78 +78,72 @@ def integrate_unit_interval(f, lam, tol=1e-12, max_level=11):
         raise ValueError("weight exponent must satisfy lam > -1")
     h = 0.5
     # center node t = 0 -> x = 1/2
-    f_half = np.ravel(np.asarray(f(np.array([0.5])), dtype=float) * np.ones(1))[0]
+    f_half = (np.asarray(f(np.array([0.5])), dtype=float) * np.ones(1))[..., 0]
     center = 0.5 ** lam * f_half * 0.25 * np.pi
     acc = center + _ts_sum(f, lam, h, odd_only=False)
     value = h * acc
-    prev = np.inf
-    for level in range(1, max_level + 1):
+    # err holds the last level difference until an entry stops, then its estimate
+    err = np.full(np.shape(value), np.inf)
+    active = np.ones(np.shape(value), dtype=bool)
+    for _ in range(max_level):
+        if not active.any():
+            break
         h *= 0.5
-        acc += _ts_sum(f, lam, h, odd_only=True)
+        acc = acc + _ts_sum(f, lam, h, odd_only=True)
         new_value = h * acc
-        if not np.isfinite(new_value):
+        if not np.isfinite(new_value[active]).all():
             raise QuadratureError("unit-interval rule hit a non-finite integrand value")
         delta = abs(new_value - value)
-        value = new_value
-        if delta <= max(tol, 1e-16 * abs(value)) and prev < np.inf:
-            return value, max(delta, 1e-16 * abs(value))
-        prev = delta
-    if prev > max(tol * 100.0, 1e-13 * abs(value)):
-        raise QuadratureError(f"unit-interval rule stalled at error ~{prev:.2e}")
-    return value, prev
+        floor = 1e-16 * abs(new_value)
+        done = active & (delta <= np.maximum(tol, floor)) & (err < np.inf)
+        value = np.where(active, new_value, value)
+        err = np.where(done, np.maximum(delta, floor), np.where(active, delta, err))
+        active &= ~done
+    if np.any(active & (err > np.maximum(tol * 100.0, 1e-13 * abs(value)))):
+        raise QuadratureError(f"unit-interval rule stalled at error ~{np.max(err[active]):.2e}")
+    return value[()], err[()]
 
 
 _GL_HI = np.polynomial.legendre.leggauss(40)
 _GL_LO = np.polynomial.legendre.leggauss(20)
 
 
-def _gl_panel(g, a, b):
+def _gl_rule(g, a, b, rule):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xi_hi, w_hi = _GL_HI
-    xi_lo, w_lo = _GL_LO
-    hi = half * np.dot(w_hi, np.asarray(g(mid + half * xi_hi), dtype=float))
-    lo = half * np.dot(w_lo, np.asarray(g(mid + half * xi_lo), dtype=float))
-    return hi, abs(hi - lo)
+    xi, w = rule
+    vals = np.asarray(g(mid + half * xi), dtype=float)
+    # one dot product per entry: a matrix-vector product rounds differently,
+    # and every entry must equal the call on that entry alone
+    rows = vals.reshape(-1, vals.shape[-1])
+    return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
 
 
 def integrate_semiaxis(integrand, tol=1e-11):
     """Weighted integral over (0, inf); see module docstring."""
-    alpha, p, f = integrand.alpha, integrand.log_power, integrand.smooth_part
-
-    if p == 0:
-        unit_f = f
-    else:
-        def unit_f(x):
-            return np.log(x) * np.asarray(f(x), dtype=float)
-    unit_val, unit_err = integrate_unit_interval(unit_f, alpha, 0.5 * tol)
+    alpha, f = integrand.alpha, integrand.smooth_part
+    unit_val, unit_err = integrate_unit_interval(f, alpha, 0.5 * tol)
 
     def tail_g(x):
-        w = x ** alpha
-        if p:
-            w = w * np.log(x)
-        return w * np.asarray(f(x), dtype=float)
+        return x ** alpha * np.asarray(f(x), dtype=float)
 
-    tail_val = 0.0
-    tail_err = 0.0
-    prev_mag = np.inf
+    tail_val, tail_err, prev_mag = 0.0, 0.0, np.inf
+    active = np.ones(np.shape(unit_val), dtype=bool)
     a = 1.0
-    converged = False
-    while a < 16384.0:
+    while a < 16384.0 and active.any():
         b = 2.0 * a
-        val, err = _gl_panel(tail_g, a, b)
-        if not np.isfinite(val):
+        hi, lo = _gl_rule(tail_g, a, b, _GL_HI), _gl_rule(tail_g, a, b, _GL_LO)
+        if not np.isfinite(hi[active]).all():
             raise QuadratureError(f"semiaxis panel [{a:g}, {b:g}] hit a non-finite integrand value")
-        tail_val += val
-        tail_err += err
-        mag = abs(val)
-        if mag < 0.01 * tol and mag < prev_mag:
-            # geometric continuation bound for everything past this panel
-            ratio = mag / prev_mag if prev_mag < np.inf else 0.5
-            tail_err += mag * ratio / max(1.0 - ratio, 0.5)
-            converged = True
-            break
-        prev_mag = mag if mag > 0.0 else prev_mag
+        mag = abs(hi)
+        done = active & (mag < 0.01 * tol) & (mag < prev_mag)
+        # geometric continuation bound for everything past this panel
+        ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
+        bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
+        tail_val = np.where(active, tail_val + hi, tail_val)
+        tail_err = np.where(active, tail_err + abs(hi - lo) + bound, tail_err)
+        active &= ~done
+        prev_mag = np.where(mag > 0.0, mag, prev_mag)
         a = b
-    if not converged:
+    if active.any():
         raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
-    return unit_val + tail_val, unit_err + tail_err
+    return (unit_val + tail_val)[()], (unit_err + tail_err)[()]

@@ -209,7 +209,7 @@ def g_log_gamma(s, z):
         w = z + t
         return np.exp((s - 1.0) * np.log(w) - w) * np.log(w)
 
-    tail, _ = integrate_semiaxis(WeightedIntegrand(0.0, 0, tail_smooth), 1e-13)
+    tail, _ = integrate_semiaxis(WeightedIntegrand(0.0, tail_smooth), 1e-13)
     return gamma(s) * digamma(s) - tail
 
 

@@ -31,34 +31,35 @@ class StressValue:
     vev: float
 
 
-def _profile_integral(poly, r, log_power, tol):
-    def smooth(tau_nodes):
-        return np.exp(-r * r * np.tanh(tau_nodes)) * poly.values(tau_nodes, r)
-    value, err = integrate_semiaxis(WeightedIntegrand(poly.lam, log_power, smooth), tol)
-    return value, err
-
-
 def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None):
     """The pair (t0, t1) for one component at dimensionless radius r.
 
-    coupling replaces cfg.xi by any coupling ``bracket_factors`` takes;
-    XI_SLOPE gives the exact xi-slopes of t0 and t1.  In d = 1,
-    "theta1theta1_reduced" is the formal contraction with a unit vector
-    orthogonal to x, not a component of the d = 1 tensor.
+    r may be an array of radii, and t0, t1 take its shape: one quadrature
+    call serves every radius and all three profile integrals.  coupling
+    replaces cfg.xi by any coupling ``bracket_factors`` takes; XI_SLOPE gives
+    the exact xi-slopes of t0 and t1.  In d = 1, "theta1theta1_reduced" is
+    the formal contraction with a unit vector orthogonal to x, not a
+    component of the d = 1 tensor.
     """
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")
-    if not (math.isfinite(r) and r >= 0.0):
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError("radius must be finite and >= 0")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     xi = cfg.xi if coupling is None else coupling
-    p0, p1 = build_P_polynomials(cfg.d, comp, xi, n=n, pipeline=pipeline)
-    t0, _ = _profile_integral(p0, r, 0, tol / 3.0)
-    if cfg.d % 2 == 0:
-        return t0, 0.0
-    t0_log, _ = _profile_integral(p1, r, 1, tol / 3.0)
-    t1, _ = _profile_integral(p1, r, 0, tol / 3.0)
+    poly = build_P_polynomials(cfg.d, comp, xi, n=n, pipeline=pipeline)
+    r_col = r[..., None]
+
+    def smooth(tau_nodes):
+        p0, p1 = np.exp(-r_col * r_col * np.tanh(tau_nodes)) * poly.values(tau_nodes, r)
+        if cfg.d % 2 == 0:
+            return p0
+        return np.stack([p0, np.log(tau_nodes) * p1, p1])
+
+    values, _ = integrate_semiaxis(WeightedIntegrand(poly.lam, smooth), tol / 3.0)
+    t0, t0_log, t1 = values if cfg.d % 2 else (values, 0.0, np.zeros(r.shape)[()])
     return t0 + t0_log, t1
 
 
@@ -70,7 +71,7 @@ def _stress_value(cfg, comp, r, profiles):
 
 
 def stress_component(cfg, comp, r, tol=1e-9):
-    """Renormalized <T_comp> at radius r (in units of 1/k) for cfg."""
+    """Renormalized <T_comp> at radius r (in units of 1/k, or an array) for cfg."""
     return _stress_value(cfg, comp, r, stress_profiles(cfg, comp, r, tol))
 
 
@@ -79,7 +80,7 @@ def conformal_split(cfg, comp, r, tol=1e-9):
 
     The brackets are linear in the coupling (one, xi), so the square part is
     the component evaluated at XI_SLOPE, and the value at any xi is
-    diamond + (xi - xi_c) * square.
+    diamond + (xi - xi_c) * square.  r may be an array of radii.
     """
     return {part: _stress_value(cfg, comp, r, stress_profiles(
                 cfg, comp, r, tol, coupling=part_coupling(cfg.d, cfg.xi, part)))
@@ -88,4 +89,6 @@ def conformal_split(cfg, comp, r, tol=1e-9):
 
 def stress_grid(cfg, comp, r_values, tol=1e-9):
     """StressValue at each radius of an iterable, in order."""
-    return [stress_component(cfg, comp, float(r), tol) for r in r_values]
+    radii = [float(r) for r in r_values]
+    grid = stress_component(cfg, comp, np.array(radii), tol)
+    return [StressValue(comp, *fields) for fields in zip(radii, grid.t0, grid.t1, grid.vev)]

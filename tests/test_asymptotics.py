@@ -210,3 +210,36 @@ def test_series_expansion_is_shared_shape():
     # large-r rows ordered from the leading power downward
     powers = [row.r_power for row in limit.rows]
     assert powers == sorted(powers, reverse=True)
+
+
+def test_log_rows_of_rounding_noise_are_dropped():
+    # the log coefficients of the d=1 tt xi-slope cancel to rounding noise
+    finite, limit = large_r_expansion(VChartFamily(1, "tt", XI_SLOPE))
+    assert [row for row in limit.rows if row.has_log] == []
+    assert all(abs(row.coefficient) > 1e-12
+               for row in finite.rows_at(5.0).rows if row.has_log)
+
+
+@pytest.mark.parametrize("family,want", [
+    (VChartFamily(1, "tt", 0.0), [(2.0, -1.0 / (8.0 * PI))]),
+    (VChartFamily(3, "rr", XI_SLOPE), [(0.0, 1.0 / (4.0 * PI * PI))]),
+], ids=["d1_tt_conformal", "d3_rr_square"])
+def test_closed_form_log_rows_survive_the_noise_floor(family, want):
+    _, limit = large_r_expansion(family)
+    got = [(row.r_power, row.coefficient) for row in limit.rows if row.has_log]
+    assert [power for power, _ in got] == [power for power, _ in want]
+    for (_, value), (_, closed) in zip(got, want):
+        assert value == pytest.approx(closed, rel=1e-8)
+
+
+def test_match_slopes_of_a_vanishing_profile_are_nan():
+    # the d=1 rr xi-slope is identically zero: its residuals are noise
+    radii = [4.0, 8.0, 12.0]
+    report = asymptotic_match_report(HarmonicConfig(d=1, xi=0.2), "rr", "square", radii)
+    assert report["vanishes"]
+    assert all(math.isnan(s) for s in report["slopes"])
+    # the smallest real profile on this grid, ~1.6e-7 at r = 12, keeps its slopes
+    report = asymptotic_match_report(HarmonicConfig(d=2, xi=0.2),
+                                     "theta1theta1_reduced", "square", radii)
+    assert not report["vanishes"]
+    assert all(math.isfinite(s) for s in report["slopes"])

@@ -205,3 +205,36 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,constraint", [
+    (["stress", "--d", "1", "--r", "0", "5", "inf"], "finite integer >= 1"),
+    (["stress", "--d", "1", "--r", "0", "5", "2.7"], "finite integer >= 1"),
+    (["asympt", "--d", "1", "--r", "0", "5", "2"], "radii must be > 0"),
+], ids=["steps_inf", "steps_fraction", "asympt_radius_0"])
+def test_bad_radius_grid_exits_2(capsys, argv, constraint):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert constraint in json.loads(err)["error"]
+
+
+def test_asympt_prints_no_noise_log_rows(capsys):
+    code, out, _ = run(capsys, "asympt", "--d", "1", "--part", "square",
+                       "--component", "tt")
+    assert code == 0
+    columns, rows, _ = parse_csv(out)
+    log_rows = [dict(zip(columns, row)) for row in rows if row[2] == "1"]
+    assert all(abs(float(row["coefficient"])) >= 1e-12 for row in log_rows)
+
+
+@pytest.mark.parametrize("d,component,vanishes", [
+    ("1", "rr", True), ("2", "theta1theta1_reduced", False)])
+def test_asympt_notes_a_vanishing_profile(capsys, d, component, vanishes):
+    code, out, _ = run(capsys, "asympt", "--d", d, "--part", "square",
+                       "--component", component, "--r", "4", "12", "3")
+    assert code == 0
+    _, _, notes = parse_csv(out)
+    slopes = next(n for n in notes if n.startswith("match slopes")).split(": ")[1]
+    assert (slopes == "nan nan") == vanishes
+    assert any("vanishes to within tol" in n for n in notes) == vanishes

@@ -8,9 +8,10 @@ and the d=1 rr xi-slope, which vanishes identically.
 
 import math
 
+import numpy as np
 import pytest
 
-from casimir_harmonic.continuation import renorm_scale_constant
+from casimir_harmonic.continuation import RSquarePoly, renorm_scale_constant
 from casimir_harmonic.energy import bulk_energy_quadrature
 from casimir_harmonic.kernels import COMPONENTS, HarmonicConfig, xi_conformal
 from casimir_harmonic.stress import (StressValue, conformal_split,
@@ -169,3 +170,37 @@ def test_long_grid_completes_quickly():
     elapsed = time.monotonic() - start
     assert len(out) == 200
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("comp", COMPONENTS)
+def test_profiles_of_a_radius_array_equal_single_calls(d, comp):
+    cfg = HarmonicConfig(d=d, xi=0.2)
+    radii = np.array([0.0, 0.6, 2.5, 7.0])
+    t0, t1 = stress_profiles(cfg, comp, radii, tol=1e-10)
+    assert t0.shape == t1.shape == radii.shape
+    for r, a, b in zip(radii, t0, t1):
+        assert (a, b) == stress_profiles(cfg, comp, float(r), tol=1e-10)
+
+
+def test_grid_evaluates_coefficients_once_per_node_set(monkeypatch):
+    # the tau-coefficients do not depend on r, so a grid needs no more node
+    # sets than the two most demanding radii together
+    calls = []
+    original = RSquarePoly.coefficient_values
+
+    def counted(self, tau_nodes):
+        calls.append(len(tau_nodes))
+        return original(self, tau_nodes)
+
+    monkeypatch.setattr(RSquarePoly, "coefficient_values", counted)
+    cfg = HarmonicConfig(d=3, xi=0.1)
+    radii = np.linspace(0.0, 9.5, 20)
+    single = []
+    for r in radii:
+        calls.clear()
+        stress_profiles(cfg, "tt", float(r))
+        single.append(len(calls))
+    calls.clear()
+    stress_grid(cfg, "tt", radii)
+    assert len(calls) <= 2 * max(single)

@@ -6,7 +6,8 @@ Runs 27 ``stress``, 18 ``asympt``, 3 ``energy`` requests and ``selftest`` with e
 tree's ``src`` on PYTHONPATH, two requests at a time.  Per request it prints
 "byte-identical" or each changed cell ([row key] column: old -> new |delta|, keyed by
 the kind, r_power, has_log, r, d and criterion cells), added (+) and removed (-) rows
-and notes.  Stdlib only.
+and notes.  The summary gives the largest |delta| of any numeric cell and, on its own
+line, of the cells whose old and new |value| both exceed 1e-12.  Stdlib only.
 """
 
 import argparse
@@ -46,16 +47,22 @@ def parse(text):
     return keyed, [ln for ln in lines if ln.startswith("# note: ")]
 
 
+NEGLIGIBLE = 1e-12
+
+
 def delta(old, new):
+    """(|new - old|, whether both |values| exceed NEGLIGIBLE), or None for text."""
     try:
-        return abs(float(new) - float(old))
+        a, b = float(old), float(new)
     except (TypeError, ValueError):
         return None
+    return abs(b - a), min(abs(a), abs(b)) > NEGLIGIBLE
 
 
 def compare(old, new):
-    """Report lines for one request (none if byte-identical) and its largest |delta|."""
-    lines, worst = [], 0.0
+    """Report lines for one request (none if byte-identical), its largest |delta| and
+    its largest |delta| among cells whose old and new |value| exceed NEGLIGIBLE."""
+    lines, worst, worst_big = [], 0.0, 0.0
     if old[0] != new[0]:
         lines.append("exit code %d -> %d" % (old[0], new[0]))
     (old_rows, old_notes), (new_rows, new_notes) = parse(old[1]), parse(new[1])
@@ -67,12 +74,15 @@ def compare(old, new):
         for column, cell in a.items():
             if cell != b.get(column):
                 d = delta(cell, b.get(column))
-                worst = max(worst, d or 0.0)
+                if d is not None:
+                    worst = max(worst, d[0])
+                    worst_big = max(worst_big, d[0] if d[1] else 0.0)
                 lines.append("[%s] %s: %s -> %s |delta| %s" % (
-                    key, column, cell, b.get(column), "-" if d is None else "%.3g" % d))
+                    key, column, cell, b.get(column), "-" if d is None else "%.3g" % d[0]))
     lines += ["- " + n for n in old_notes if n not in new_notes]
     lines += ["+ " + n for n in new_notes if n not in old_notes]
-    return lines or (["output differs outside rows and notes"] if old != new else []), worst
+    return (lines or (["output differs outside rows and notes"] if old != new else []),
+            worst, worst_big)
 
 
 def main(argv=None):
@@ -82,16 +92,18 @@ def main(argv=None):
     todo = requests()
     with ThreadPoolExecutor(max_workers=2) as pool:
         outputs = pool.map(lambda a: tuple(run(tree, a) for tree in args.trees), todo)
-        identical, worst = 0, 0.0
+        identical, worst, worst_big = 0, 0.0, 0.0
         for request, (old, new) in zip(todo, outputs):
-            lines, w = compare(old, new)
+            lines, w, w_big = compare(old, new)
             identical += not lines
-            worst = max(worst, w)
+            worst, worst_big = max(worst, w), max(worst_big, w_big)
             print(" ".join(request) + (": changed" if lines else ": byte-identical"))
             for line in lines:
                 print("    " + line)
     print("summary: %d of %d requests byte-identical; largest numeric |delta| %.3g"
           % (identical, len(todo), worst))
+    print("summary: largest |delta| among cells with old and new |value| > %g: %.3g"
+          % (NEGLIGIBLE, worst_big))
     return 0
 
 
