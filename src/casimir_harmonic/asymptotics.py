@@ -63,28 +63,33 @@ class SeriesExpansion:
 # small radius
 # ---------------------------------------------------------------------------
 
-def small_r_expansion(poly_main, poly_log, n_terms, tol=1e-9):
+def small_r_expansion(poly, n_terms, tol=1e-9):
     """Power series sum_i a_i r^(2i) of a profile integral, with remainder.
 
-    poly_main/poly_log are the RSquarePoly pair multiplying 1 and ln(tau);
-    poly_log may be None.  The returned remainder dict carries a constant C
-    such that |profile(r) - partial sum| <= C r^(2(n_terms+1)) on the stated
-    validity range.
+    poly is an RSquarePoly multiplying 1, or -- as ``build_P_polynomials``
+    returns (P0, P1) -- a pair stacked on a leading axis whose second entry
+    multiplies ln(tau).  Each node set evaluates its coefficients once per
+    quadrature.  The returned remainder dict carries a constant C such that
+    |profile(r) - partial sum| <= C r^(2(n_terms+1)) on the stated validity
+    range.
     """
-    lam = poly_main.lam
-    if poly_log is not None and poly_log.lam != lam:
-        raise ValueError("main and log parts must share one tau weight")
-    deg = poly_main.degree
+    lam = poly.lam
+    deg = poly.degree
+
+    def main_and_log(t):
+        c = poly.coefficient_values(t)
+        return (c[0], c[1]) if c.ndim == 3 else (c, None)
 
     # every moment int tau^lam c_j tanh^(i-j) in one call, then with ln tau
     terms = [(i, j) for i in range(n_terms + 1) for j in range(min(i, deg) + 1)]
 
     def moments(t):
-        th, c = np.tanh(t), poly_main.coefficient_values(t)
+        c, c_log = main_and_log(t)
+        th = np.tanh(t)
         rows = [c[j] * th ** (i - j) for i, j in terms]
-        if poly_log is not None:
-            ln, c = np.log(t), poly_log.coefficient_values(t)
-            rows += [ln * (c[j] * th ** (i - j)) for i, j in terms]
+        if c_log is not None:
+            ln = np.log(t)
+            rows += [ln * (c_log[j] * th ** (i - j)) for i, j in terms]
         return np.array(rows)
 
     values, errors = integrate_semiaxis(WeightedIntegrand(lam, moments), tol)
@@ -100,9 +105,9 @@ def small_r_expansion(poly_main, poly_log, n_terms, tol=1e-9):
     kept = range(min(big_n + 1, deg) + 1)
 
     def abs_moments(t):
-        m = poly_main.coefficient_values(t)
-        if poly_log is not None:
-            m = m + np.log(t) * poly_log.coefficient_values(t)
+        m, c_log = main_and_log(t)
+        if c_log is not None:
+            m = m + np.log(t) * c_log
         th = np.tanh(t)
         return np.array([np.abs(m[i]) * th ** (big_n + 1 - i) for i in kept])
 

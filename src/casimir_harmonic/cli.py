@@ -278,6 +278,16 @@ def _run_stress(args) -> int:
     return 0
 
 
+def _t0_polys(d, comp, coupling):
+    """The t0 profile's polynomials for ``small_r_expansion``: (P0, P1)
+    stacked in odd d, P0 alone in even d, where P1 vanishes."""
+    pair = build_P_polynomials(d, comp, coupling)
+    if d % 2 == 1:
+        return pair
+    p0, _ = pair
+    return p0
+
+
 def _run_asympt(args) -> int:
     xi_of_d = _parse_xi(args.xi)
     cfg = _harmonic_config(args, xi_of_d)
@@ -286,8 +296,7 @@ def _run_asympt(args) -> int:
         raise ValidationFailure("asympt radii must be > 0")
     rows = []
     coupling = part_coupling(cfg.d, cfg.xi, args.part)
-    p0, p1 = build_P_polynomials(cfg.d, args.component, coupling)
-    small = small_r_expansion(p0, p1 if cfg.d % 2 == 1 else None,
+    small = small_r_expansion(_t0_polys(cfg.d, args.component, coupling),
                               _SMALL_R_TERMS[cfg.d], tol=args.tol)
     _, limit = large_r_expansion(VChartFamily(cfg.d, args.component, coupling))
     columns = ["kind", "r_power", "has_log", "coefficient",
@@ -410,12 +419,12 @@ def _c04_small_r_tables():
     checked = 0
     worst = 0.0
     for (d, comp, profile, part), pinned in sorted(_PINNED_SMALL_R.items()):
-        p0, p1 = build_P_polynomials(d, comp, part_coupling(d, None, part))
+        coupling = part_coupling(d, None, part)
         if profile == 0:
-            main, logp = p0, (p1 if d % 2 == 1 else None)
+            poly = _t0_polys(d, comp, coupling)
         else:
-            main, logp = p1, None
-        series = small_r_expansion(main, logp, len(pinned) - 1, tol=1e-10)
+            _, poly = build_P_polynomials(d, comp, coupling)
+        series = small_r_expansion(poly, len(pinned) - 1, tol=1e-10)
         for i, want in enumerate(pinned):
             got = series.rows[i].coefficient
             checked += 1
@@ -438,8 +447,7 @@ def _c04_small_r_tables():
 
 
 def _c05_remainder_inequality():
-    p0, p1 = build_P_polynomials(1, "tt", xi_conformal(1))
-    series = small_r_expansion(p0, p1, 3, tol=1e-10)
+    series = small_r_expansion(_t0_polys(1, "tt", xi_conformal(1)), 3, tol=1e-10)
     bound_c = series.remainder["F"]
     power = series.remainder["r_power"]
     coeff_err = series.remainder["coefficient_errors"]

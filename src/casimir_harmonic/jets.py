@@ -8,8 +8,21 @@ base points at once; all operations broadcast over that trailing shape.
 Elementary functions are applied through ``jet_lift_and_compose`` using
 the standard power-series recurrences; ``tanh`` and ``arcth`` are built
 from the exp/log lifts rather than bespoke recurrences.
+
+The kernels work on whole Taylor orders at once, yet return bit for bit
+what the textbook double loops return: every coefficient is the same
+products, summed left to right in the same order from the same start.  A
+sum the loop starts from 0.0 starts from +0.0 here too, which turns a
+lone -0.0 into +0.0 as the loop does.  No numpy reduction is used, since
+``np.sum`` may add pairwise.  Where a sum runs from the oldest coefficient
+(the product, reciprocal, log and pow) each coefficient is added to the
+sums of all later orders in one operation as soon as it is known; where it
+runs from the newest (exp, sinh/cosh) each order forms all its products in
+one operation and adds them one by one.  Only a NaN may differ, in its
+sign bit.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -71,11 +84,15 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b, k = self._aligned(other)
-            shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-            out = np.zeros((k + 1,) + shape)
-            for m in range(k + 1):
-                for j in range(m + 1):
-                    out[m] += a[j] * b[m - j]
+            if b.ndim < a.ndim:
+                # pad b to a's trailing rank, so that b's order axis never
+                # meets a trailing axis of a
+                b = b.reshape(b.shape[:1] + (1,) * (a.ndim - b.ndim) + b.shape[1:])
+            # coefficient m sums a[j] * b[m - j] over j = 0..m in order,
+            # starting from +0.0
+            out = a[0] * b + 0.0
+            for j in range(1, k + 1):
+                out[j:] += a[j] * b[: k + 1 - j]
             return Jet(self.base_point, out)
         return Jet(self.base_point, self.coeffs * other)
 
@@ -123,66 +140,83 @@ def derivative(jet, m):
     return math.factorial(m) * jet.coeffs[m]
 
 
+def _weighted(a):
+    """The rows j * a[j], each an int times a row."""
+    return np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1)) * a
+
+
 def _lift_exp(a):
+    # c[m] = (sum_{j=1..m} j a[j] c[m-j]) / m
     k = a.shape[0] - 1
-    c = np.zeros_like(a)
+    ja = _weighted(a)
+    c = np.empty_like(a)
     c[0] = np.exp(a[0])
     for m in range(1, k + 1):
-        for j in range(1, m + 1):
-            c[m] += j * a[j] * c[m - j]
-        c[m] /= m
+        terms = ja[1: m + 1] * c[m - 1::-1]
+        acc = terms[0] + 0.0
+        for term in terms[1:]:
+            acc += term
+        c[m] = acc / m
     return c
 
 
 def _lift_log(a):
+    # c[m] = (m a[m] - sum_{j=1..m-1} j c[j] a[m-j]) / (m a[0])
     k = a.shape[0] - 1
-    c = np.zeros_like(a)
+    c = np.empty_like(a)
     c[0] = np.log(a[0])
+    acc = _weighted(a)
     for m in range(1, k + 1):
-        acc = m * a[m].copy()
-        for j in range(1, m):
-            acc -= j * c[j] * a[m - j]
-        c[m] = acc / (m * a[0])
+        c[m] = acc[m] / (m * a[0])
+        if m < k:
+            acc[m + 1:] -= (m * c[m]) * a[1: k + 1 - m]
     return c
 
 
 def _lift_pow(a, alpha):
+    # c[m] = (sum_{j=0..m-1} (alpha (m-j) - j) a[m-j] c[j]) / (m a[0])
     k = a.shape[0] - 1
-    c = np.zeros_like(a)
+    w = np.array([[alpha * (m - j) - j for j in range(k + 1)] for m in range(k + 1)],
+                 dtype=float).reshape((k + 1, k + 1) + (1,) * (a.ndim - 1))
+    c = np.empty_like(a)
     c[0] = a[0] ** alpha
-    for m in range(1, k + 1):
-        acc = np.zeros_like(a[0])
-        for j in range(m):
-            acc += (alpha * (m - j) - j) * a[m - j] * c[j]
-        c[m] = acc / (m * a[0])
+    acc = np.zeros_like(a)
+    for j in range(k + 1):
+        if j > 0:
+            c[j] = acc[j] / (j * a[0])
+        if j < k:
+            acc[j + 1:] += w[j + 1:, j] * a[1: k + 1 - j] * c[j]
     return c
 
 
 def _lift_reciprocal(a):
+    # c[m] = -(sum_{j=0..m-1} c[j] a[m-j]) / a[0]
     k = a.shape[0] - 1
-    c = np.zeros_like(a)
+    c = np.empty_like(a)
     c[0] = 1.0 / a[0]
+    acc = c[0] * a + 0.0             # acc[m] = 0 + c[0] a[m] for m >= 1
     for m in range(1, k + 1):
-        acc = np.zeros_like(a[0])
-        for j in range(m):
-            acc += c[j] * a[m - j]
-        c[m] = -acc / a[0]
+        c[m] = -acc[m] / a[0]
+        if m < k:
+            acc[m + 1:] += c[m] * a[1: k + 1 - m]
     return c
 
 
 def _lift_sinh_cosh(a):
+    # s[m] = (sum_{j=1..m} j a[j] c[m-j]) / m, and c[m] likewise from s;
+    # sc[0] is s and sc[1] is c, so sc[::-1] pairs each with the other
     k = a.shape[0] - 1
-    s = np.zeros_like(a)
-    c = np.zeros_like(a)
-    s[0] = np.sinh(a[0])
-    c[0] = np.cosh(a[0])
+    ja = _weighted(a)
+    sc = np.empty((2,) + a.shape)
+    sc[0, 0] = np.sinh(a[0])
+    sc[1, 0] = np.cosh(a[0])
     for m in range(1, k + 1):
-        for j in range(1, m + 1):
-            s[m] += j * a[j] * c[m - j]
-            c[m] += j * a[j] * s[m - j]
-        s[m] /= m
-        c[m] /= m
-    return s, c
+        terms = ja[1: m + 1] * sc[::-1, m - 1::-1]
+        acc = terms[:, 0] + 0.0
+        for j in range(1, m):
+            acc += terms[:, j]
+        sc[:, m] = acc / m
+    return sc[0], sc[1]
 
 
 def _compose_about_value(inner, fcoeffs):
@@ -197,6 +231,44 @@ def _compose_about_value(inner, fcoeffs):
     return out
 
 
+_SINHC_TERMS = 35
+
+
+@functools.lru_cache(maxsize=64)
+def _sinhc_table(order, scale, scale_type):
+    """Read-only table[j, m] = scale^(2j) C(2j, m) / (2j+1)!, the factor of
+    t^(2j-m) in the m-th Taylor coefficient of sinh(s t)/(s t); zero where
+    2j < m.  scale_type keeps 2 and 2.0, which hash alike, apart."""
+    table = np.zeros((_SINHC_TERMS, order + 1))
+    for m in range(order + 1):
+        for j in range((m + 1) // 2, _SINHC_TERMS):
+            table[j, m] = scale ** (2 * j) * math.comb(2 * j, m) / math.factorial(2 * j + 1)
+    table.flags.writeable = False
+    return table
+
+
+def _sinhc_series(t, order, scale):
+    """Taylor coefficients of sinh(s t)/(s t) at t from its even series.
+
+    Coefficient m sums table[j, m] * t^(2j - m) over ascending j.  Each
+    power is computed once, and at most order + 1 of them are alive at a
+    time.
+    """
+    table = _sinhc_table(order, scale, type(scale))
+    table = table.reshape(table.shape + (1,) * t.ndim)
+    fc = np.zeros((order + 1,) + t.shape)
+    powers = []                      # powers[m] = t^(2j - m)
+    for j in range(_SINHC_TERMS):
+        top = min(order, 2 * j)
+        fresh = min(top, 1) + 1      # t^(2j), and t^(2j-1) once order >= 1
+        del powers[top + 1 - fresh:]
+        powers[:0] = [t ** (2 * j - m) for m in range(fresh)]
+        terms = np.array(powers)
+        terms *= table[j, : top + 1]
+        fc[: top + 1] += terms
+    return fc
+
+
 def sinhc_jet(inner, scale=1.0):
     """Jet of sinh(s*t)/(s*t) as a function of t, elementwise stable.
 
@@ -204,29 +276,27 @@ def sinhc_jet(inner, scale=1.0):
     coefficients of size ~ 1/t^m, which overflow at the double-
     exponentially small nodes the unit-interval quadrature produces.
     Wherever |s*t| < 1 the (entire) even Taylor series of the function
-    itself is used instead; the two branches are merged per node.
+    itself is used instead; the two branches are merged per node, and a
+    branch that no node takes is not evaluated.
     """
     k = inner.order
     t0 = np.asarray(inner.coeffs[0], dtype=float)
     small = np.abs(scale * t0) < 1.0
+    any_small, all_small = small.any(), small.all()
 
-    t_ser = np.where(small, t0, 0.0)
-    fc = np.zeros((k + 1,) + t_ser.shape)
-    for m in range(k + 1):
-        acc = np.zeros_like(t_ser)
-        for j in range((m + 1) // 2, 35):
-            c = scale ** (2 * j) * math.comb(2 * j, m) / math.factorial(2 * j + 1)
-            acc += c * t_ser ** (2 * j - m)
-        fc[m] = acc
-    ser = _compose_about_value(inner, fc)
+    if any_small:
+        fc = _sinhc_series(np.where(small, t0, 0.0), k, scale)
+        ser = _compose_about_value(inner, fc).coeffs
+        if all_small:
+            return Jet(inner.base_point, ser)
 
     safec = inner.coeffs.copy()
     safec[0] = np.where(small, 1.0 / scale, t0)
     u = Jet(inner.base_point, safec) * scale
-    big = jet_lift_and_compose("sinh", u) * jet_lift_and_compose("reciprocal", u)
-
-    merged = np.where(small, ser.coeffs, big.coeffs)
-    return Jet(inner.base_point, merged)
+    big = (jet_lift_and_compose("sinh", u) * jet_lift_and_compose("reciprocal", u)).coeffs
+    if not any_small:
+        return Jet(inner.base_point, big)
+    return Jet(inner.base_point, np.where(small, ser, big))
 
 
 def jet_lift_and_compose(tag, inner, exponent=None):

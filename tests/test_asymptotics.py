@@ -33,8 +33,8 @@ PI = math.pi
 
 
 def _conformal_small_r(d, comp, n_terms, tol=1e-10):
-    p0, p1 = build_P_polynomials(d, comp, xi_conformal(d))
-    return small_r_expansion(p0, p1 if d % 2 == 1 else None, n_terms,
+    pair = build_P_polynomials(d, comp, xi_conformal(d))
+    return small_r_expansion(pair if d % 2 == 1 else next(iter(pair)), n_terms,
                              tol=tol)
 
 
@@ -47,10 +47,44 @@ def test_small_r_d1_tt_conformal_printed_rows():
 
 
 def test_small_r_d3_rr_square_leading_row():
-    p0, p1 = build_P_polynomials(3, "rr", XI_SLOPE)
     # odd d: the t0 profile carries both the plain and the ln-tau integrals
-    series = small_r_expansion(p0, p1, 2, tol=1e-10)
+    series = small_r_expansion(build_P_polynomials(3, "rr", XI_SLOPE), 2, tol=1e-10)
     assert series.rows[0].coefficient == pytest.approx(0.0095, abs=1.5e-4)
+
+
+def test_odd_d_small_r_runs_one_ladder_per_node_set(monkeypatch):
+    """P0 and P1 come from one coefficient evaluation, and so from one
+    ladder pass, per node set of each of the two quadratures."""
+    import casimir_harmonic.asymptotics as asymptotics
+    import casimir_harmonic.continuation as continuation
+
+    node_sets, coefficient_calls, ladder_calls = [], [], []
+
+    def integrate(integrand, tol):
+        def counted(t):
+            node_sets.append(len(t))
+            return integrand.smooth_part(t)
+        return original_integrate(
+            asymptotics.WeightedIntegrand(integrand.alpha, counted), tol)
+
+    def coefficient_values(self, tau_nodes):
+        coefficient_calls.append(len(tau_nodes))
+        return original_values(self, tau_nodes)
+
+    def ladder(*args):
+        ladder_calls.append(args[0])
+        return original_ladder(*args)
+
+    original_integrate = asymptotics.integrate_semiaxis
+    original_values = RSquarePoly.coefficient_values
+    original_ladder = continuation.u_affine_ladder
+    monkeypatch.setattr(asymptotics, "integrate_semiaxis", integrate)
+    monkeypatch.setattr(RSquarePoly, "coefficient_values", coefficient_values)
+    monkeypatch.setattr(continuation, "u_affine_ladder", ladder)
+    small_r_expansion(build_P_polynomials(1, "tt", xi_conformal(1)), 2, tol=1e-9)
+    assert node_sets
+    assert coefficient_calls == node_sets
+    assert len(ladder_calls) == len(node_sets)
 
 
 def _toy_poly():
@@ -67,7 +101,7 @@ def _toy_direct(r):
 
 def test_small_r_toy_oracle():
     """Constant P with exponential damping: recipe vs direct quadrature."""
-    series = small_r_expansion(_toy_poly(), None, 3, tol=1e-12)
+    series = small_r_expansion(_toy_poly(), 3, tol=1e-12)
     # series evaluation against the independent integral at r = 0.1
     assert series.evaluate(0.1) == pytest.approx(_toy_direct(0.1), abs=1e-8)
     # and coefficient-by-coefficient against a polynomial fit in r^2
@@ -82,7 +116,7 @@ def test_small_r_toy_oracle():
 def test_small_r_remainder_is_global():
     """|F(r) - partial sum| <= C r^(2(N+1)) at every probed r, not just
     asymptotically."""
-    series = small_r_expansion(_toy_poly(), None, 3, tol=1e-12)
+    series = small_r_expansion(_toy_poly(), 3, tol=1e-12)
     c_next = series.remainder["F"]
     power = series.remainder["r_power"]
     assert c_next >= 0.0

@@ -125,3 +125,179 @@ def test_reciprocal_composed_with_sinhc():
     j = jet_lift_and_compose("reciprocal", sinhc_jet(Jet.variable(t, 3)))
     want = float(mpmath.diff(lambda u: u / mpmath.sinh(u), t, 3))
     assert derivative(j, 3) == pytest.approx(want, rel=1e-12)
+
+
+# -- bit-exact references ------------------------------------------------
+#
+# The kernels work on whole Taylor orders at once but must keep every bit
+# of the textbook double loops below: the same products, summed in the
+# same order from the same start.  Coefficients here are finite, mixed in
+# magnitude, and include exact zeros of both signs.
+
+def _ref_mul(a, b):
+    k = min(a.shape[0], b.shape[0]) - 1
+    a, b = a[: k + 1], b[: k + 1]
+    out = np.zeros((k + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for m in range(k + 1):
+        for j in range(m + 1):
+            out[m] += a[j] * b[m - j]
+    return out
+
+
+def _ref_exp(a):
+    c = np.zeros_like(a)
+    c[0] = np.exp(a[0])
+    for m in range(1, a.shape[0]):
+        for j in range(1, m + 1):
+            c[m] += j * a[j] * c[m - j]
+        c[m] /= m
+    return c
+
+
+def _ref_log(a):
+    c = np.zeros_like(a)
+    c[0] = np.log(a[0])
+    for m in range(1, a.shape[0]):
+        acc = m * a[m].copy()
+        for j in range(1, m):
+            acc -= j * c[j] * a[m - j]
+        c[m] = acc / (m * a[0])
+    return c
+
+
+def _ref_pow(a, alpha):
+    c = np.zeros_like(a)
+    c[0] = a[0] ** alpha
+    for m in range(1, a.shape[0]):
+        acc = np.zeros_like(a[0])
+        for j in range(m):
+            acc += (alpha * (m - j) - j) * a[m - j] * c[j]
+        c[m] = acc / (m * a[0])
+    return c
+
+
+def _ref_reciprocal(a):
+    c = np.zeros_like(a)
+    c[0] = 1.0 / a[0]
+    for m in range(1, a.shape[0]):
+        acc = np.zeros_like(a[0])
+        for j in range(m):
+            acc += c[j] * a[m - j]
+        c[m] = -acc / a[0]
+    return c
+
+
+def _ref_sinh_cosh(a):
+    s, c = np.zeros_like(a), np.zeros_like(a)
+    s[0], c[0] = np.sinh(a[0]), np.cosh(a[0])
+    for m in range(1, a.shape[0]):
+        for j in range(1, m + 1):
+            s[m] += j * a[j] * c[m - j]
+            c[m] += j * a[j] * s[m - j]
+        s[m] /= m
+        c[m] /= m
+    return s, c
+
+
+def _ref_sinhc(inner, scale):
+    """sinh(s t)/(s t) of the jet with coefficients ``inner``: the 35-term
+    even series composed by Horner where |s t| < 1, sinh(u) / u elsewhere."""
+    k = inner.shape[0] - 1
+    t0 = inner[0]
+    small = np.abs(scale * t0) < 1.0
+    t_ser = np.where(small, t0, 0.0)
+    fc = np.zeros((k + 1,) + t_ser.shape)
+    for m in range(k + 1):
+        acc = np.zeros_like(t_ser)
+        for j in range((m + 1) // 2, 35):
+            c = scale ** (2 * j) * math.comb(2 * j, m) / math.factorial(2 * j + 1)
+            acc += c * t_ser ** (2 * j - m)
+        fc[m] = acc
+    dx = inner.copy()
+    dx[0] = np.zeros_like(dx[0])
+    ser = np.zeros((k + 1,) + fc.shape[1:])
+    ser[0] = fc[k]
+    for m in range(k - 1, -1, -1):
+        ser = _ref_mul(ser, dx)
+        ser[0] = ser[0] + fc[m]
+    safe = inner.copy()
+    safe[0] = np.where(small, 1.0 / scale, t0)
+    u = safe * scale
+    big = _ref_mul(_ref_sinh_cosh(u)[0], _ref_reciprocal(u))
+    return np.where(small, ser, big)
+
+
+def _bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.isfinite(want).all()
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64))
+
+
+def _coeffs(rng, order, shape, positive_value=False):
+    c = rng.standard_normal((order + 1,) + shape)
+    c *= 10.0 ** rng.integers(-3, 4, c.shape)
+    c[rng.random(c.shape) < 0.25] = 0.0
+    c[rng.random(c.shape) < 0.15] = -0.0
+    if positive_value:
+        c[0] = rng.uniform(0.25, 4.0, shape)
+    return c
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_product_keeps_every_bit(order):
+    rng = np.random.default_rng(order)
+    # N = order + 1 - j is where an order axis meeting a node axis of the
+    # same length would broadcast silently instead of raising
+    sizes = sorted({order + 1 - j for j in range(order + 1)} | {7})
+    pairs = [((), ())]
+    for n in sizes:
+        pairs += [((n,), (n,)), ((n,), ()), ((), (n,)),
+                  ((2, n), (2, n)), ((2, n), (n,)), ((n,), (2, n)),
+                  ((2, n), ()), ((), (2, n))]
+    for sa, sb in pairs:
+        a, b = _coeffs(rng, order, sa), _coeffs(rng, order + 1, sb)
+        got = (Jet(0.0, a) * Jet(0.0, b)).coeffs
+        assert _bits_equal(got, _ref_mul(a, b)), (sa, sb)
+
+
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("shape", [(), (6,), (2, 6)])
+def test_lifts_keep_every_bit(order, shape):
+    rng = np.random.default_rng(100 + order)
+    for _ in range(4):
+        a = _coeffs(rng, order, shape, positive_value=True)
+        x = Jet(0.0, a)
+        s, c = _ref_sinh_cosh(a)
+        expected = {"exp": _ref_exp(a), "log": _ref_log(a),
+                    "reciprocal": _ref_reciprocal(a), "sinh": s, "cosh": c,
+                    "sqrt": _ref_pow(a, 0.5)}
+        for tag, want in expected.items():
+            assert _bits_equal(jet_lift_and_compose(tag, x).coeffs, want), tag
+        for alpha in (-1.5, -1, 2, 0.25, -0.75):
+            got = jet_lift_and_compose("pow", x, exponent=alpha).coeffs
+            assert _bits_equal(got, _ref_pow(a, alpha)), alpha
+        # the reciprocal of a negative value too
+        a[0] = -a[0]
+        assert _bits_equal(jet_lift_and_compose("reciprocal", Jet(0.0, a)).coeffs,
+                           _ref_reciprocal(a))
+
+
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_sinhc_jet_keeps_every_bit(order, scale):
+    rng = np.random.default_rng(200 + order)
+    nodes = {
+        "small": rng.uniform(1e-3, 0.999, 40) / scale,
+        "large": rng.uniform(1.0, 60.0, 40) / scale,
+        "mixed": rng.uniform(1e-3, 3.0, 40),
+        "tiny": 10.0 ** rng.uniform(-300.0, -1.0, 40),
+        "scalar small": np.float64(0.37) / scale,
+        "scalar large": np.float64(4.2),
+    }
+    for name, t in nodes.items():
+        for inner in (Jet.variable(t, order).coeffs,
+                      _coeffs(rng, order, np.shape(t))):
+            inner[0] = t
+            got = sinhc_jet(Jet(0.0, inner), scale).coeffs
+            assert _bits_equal(got, _ref_sinhc(inner, scale)), name

@@ -1,0 +1,92 @@
+"""Time the jet kernels of two source trees side by side.
+
+    python3 tools/jet_bench.py OLD_TREE NEW_TREE
+
+Times ``sinhc_jet`` at scales 1 and 2 and ``Jet.__mul__`` at orders 2..8 on
+1000 nodes spread over the unit interval, where the tanh-sinh rule puts the
+nodes of every tau-integral's unit piece: at scale 1 every node takes the
+even-series branch of ``sinhc_jet``, at scale 2 about half do.  Each tree
+runs in its own interpreter with its ``src`` on PYTHONPATH, ``ROUNDS``
+times, the first tree of each round alternating between old and new; a
+kernel's figure is the median over all rounds of ``RUNS`` timed runs of
+``CALLS`` calls each.  Prints one JSON object: per kernel and
+order the median microseconds per call in each tree and old / new.
+Stdlib and numpy only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+NODES = 1000
+ORDERS = range(2, 9)
+RUNS = 10
+CALLS = 20
+ROUNDS = 4
+
+# run inside each tree's interpreter: prints {kernel label: [us per call, ...]}
+CHILD = r"""
+import json, sys, time
+import numpy as np
+from casimir_harmonic.jets import Jet, sinhc_jet
+
+nodes, orders, runs, calls = json.loads(sys.argv[1])
+t = np.linspace(0.0, 1.0, nodes + 2)[1:-1]
+rng = np.random.default_rng(0)
+cases = {}
+for k in orders:
+    x = Jet.variable(t, k)
+    a = Jet(0.0, rng.standard_normal((k + 1, nodes)))
+    b = Jet(0.0, rng.standard_normal((k + 1, nodes)))
+    cases["sinhc_jet scale 1|%d" % k] = lambda x=x: sinhc_jet(x, 1.0)
+    cases["sinhc_jet scale 2|%d" % k] = lambda x=x: sinhc_jet(x, 2.0)
+    cases["Jet.__mul__|%d" % k] = lambda a=a, b=b: a * b
+samples = {}
+for label, call in cases.items():
+    call()
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        times.append((time.perf_counter() - start) / calls * 1e6)
+    samples[label] = times
+print(json.dumps(samples))
+"""
+
+
+def measure(tree):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    settings = json.dumps([NODES, list(ORDERS), RUNS, CALLS])
+    proc = subprocess.run([sys.executable, "-c", CHILD, settings], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs=2, metavar="TREE", help="the old tree, then the new one")
+    args = parser.parse_args(argv)
+    samples = [{}, {}]
+    for round_ in range(ROUNDS):
+        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+            for label, times in measure(args.trees[side]).items():
+                samples[side].setdefault(label, []).extend(times)
+    kernels = []
+    for label in samples[0]:
+        kernel, order = label.split("|")
+        old, new = (statistics.median(s[label]) for s in samples)
+        kernels.append({"kernel": kernel, "order": int(order), "old_us": round(old, 1),
+                        "new_us": round(new, 1), "old_over_new": round(old / new, 2)})
+    kernels.sort(key=lambda row: (row["kernel"], row["order"]))
+    print(json.dumps({"nodes": NODES, "runs_per_tree": ROUNDS * RUNS, "calls_per_run": CALLS,
+                      "kernels": kernels}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
