@@ -19,11 +19,10 @@ from casimir_harmonic import (
 
 d = 1
 print(f"Small-radius rows, d={d}, tt component, conformal part:")
-# P0 and P1 come stacked from one ladder pass; in odd d the t0 profile
-# carries both the plain and the ln-tau integrals, and one quadrature call
-# takes every tau-moment of both (in even d P1 vanishes and P0 goes alone)
-pair = build_P_polynomials(d, "tt", xi_conformal(d))
-series = small_r_expansion(pair if d % 2 == 1 else next(iter(pair)), 3, tol=1e-10)
+# P0 and P1 come stacked from one ladder pass; the t0 profile carries both
+# the plain and the ln-tau integrals (P1 vanishes in even d), and one
+# quadrature call takes every tau-moment of both
+series = small_r_expansion(build_P_polynomials(d, "tt", xi_conformal(d)), 3, tol=1e-10)
 for row, err in zip(series.rows, series.remainder["coefficient_errors"]):
     tag = " * ln r^2" if row.has_log else ""
     print(f"  r^{int(row.r_power)}: {row.coefficient:+.10f}{tag}  (quadrature error {err:.1e})")

@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 from .asymptotics import (SeriesExpansion, VChartFamily,
                           asymptotic_match_report, large_r_expansion,
                           small_r_expansion)
-from .continuation import (build_P_polynomials, ibp_mellin,
-                           minimal_derivative_count, renorm_scale_constant,
-                           weight_exponent)
+from .continuation import (build_P_polynomials, minimal_derivative_count,
+                           renorm_scale_constant, weight_exponent)
 from .energy import (EnergyResult, In_quadrature, In_zeta,
                      boundary_energy_scan, bulk_energy_quadrature,
                      bulk_energy_zeta, spectral_trace_oracle)

@@ -59,6 +59,15 @@ class SeriesExpansion:
         return bound
 
 
+_NOISE = 64.0 * np.finfo(float).eps
+
+
+def _is_noise(x, size, err=0.0):
+    """Whether x, a sum of terms whose magnitudes add up to size, is no
+    larger than its error estimate err plus the rounding of that sum."""
+    return abs(x) <= err + _NOISE * size
+
+
 # ---------------------------------------------------------------------------
 # small radius
 # ---------------------------------------------------------------------------
@@ -69,9 +78,10 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
     poly is an RSquarePoly multiplying 1, or -- as ``build_P_polynomials``
     returns (P0, P1) -- a pair stacked on a leading axis whose second entry
     multiplies ln(tau).  Each node set evaluates its coefficients once per
-    quadrature.  The returned remainder dict carries a constant C such that
-    |profile(r) - partial sum| <= C r^(2(n_terms+1)) on the stated validity
-    range.
+    quadrature.  A coefficient no larger than its quadrature error plus the
+    rounding of its sum is 0.0.  The returned remainder dict carries a
+    constant C such that |profile(r) - partial sum| <= C r^(2(n_terms+1))
+    on the stated validity range.
     """
     lam = poly.lam
     deg = poly.degree
@@ -93,12 +103,13 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
         return np.array(rows)
 
     values, errors = integrate_semiaxis(WeightedIntegrand(lam, moments), tol)
-    acc, acc_err = [0.0] * (n_terms + 1), [0.0] * (n_terms + 1)
+    acc, acc_err, acc_size = ([0.0] * (n_terms + 1) for _ in range(3))
     for m, (i, j) in enumerate(terms):
         sign = (-1.0) ** (i - j) / math.factorial(i - j)
         for v, e in zip(values[m::len(terms)], errors[m::len(terms)]):
             acc[i] += sign * v
             acc_err[i] += abs(sign) * e
+            acc_size[i] += abs(sign * v)
 
     # remainder constant: Taylor tail of exp(-r^2 tanh) per r^2-coefficient
     big_n = n_terms
@@ -117,7 +128,8 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
         c_rem += (v + e) / math.factorial(big_n + 1 - i)
     validity = "r > 0" if deg <= big_n + 1 else "0 < r <= 1"
 
-    rows = [Row(2.0 * i, False, c) for i, c in enumerate(acc)]
+    rows = [Row(2.0 * i, False, 0.0 if _is_noise(c, size, err) else c)
+            for i, (c, size, err) in enumerate(zip(acc, acc_size, acc_err))]
     remainder = {"r_power": 2.0 * (big_n + 1), "F": c_rem, "validity": validity,
                  "coefficient_errors": acc_err}
     return SeriesExpansion(rows, remainder)
@@ -131,21 +143,18 @@ _DEFAULT_DEPTH = {1: 3, 2: 5, 3: 4}
 
 
 class VChartFamily:
-    """The v-chart coefficient functions q0_i, q1_i of one profile.
+    """The v-chart coefficient functions q0_i, q1_i of the t0 profile.
 
-    profile 0 is the scale-free part (its integrand carries ln tau, which
-    splits into ln v + a regular piece here); profile 1 multiplies the
-    subtraction-scale constant and has no logarithm of its own.  xi is any
-    coupling ``bracket_factors`` takes; XI_SLOPE gives the exact xi-slope.
+    The t0 integrand carries ln tau, which splits into ln v + a regular
+    piece here.  xi is any coupling ``bracket_factors`` takes; XI_SLOPE
+    gives the exact xi-slope.
     """
 
-    def __init__(self, d, comp, xi, profile=0, n=None, pipeline=None):
+    def __init__(self, d, comp, xi):
         if comp not in COMPONENTS:
             raise ValueError(f"unknown component {comp!r}")
-        if profile not in (0, 1):
-            raise ValueError("profile must be 0 or 1")
-        self.d, self.comp, self.xi, self.profile = d, comp, xi, profile
-        self.a_main, self.a_slope, self.b_main, self.n = p_constants(d, n, pipeline)
+        self.d, self.comp, self.xi = d, comp, xi
+        self.a_main, self.a_slope, self.b_main, self.n = p_constants(d)
         self.lam = weight_exponent(d, self.n)
         self.degree = self.n + 1
 
@@ -157,8 +166,6 @@ class VChartFamily:
             lift("pow", one_minus, -(1.0 + self.lam))
         ln_reg = lift("log", basis.ratio) - lift("log", one_minus)
         p0, p1 = p_from_ladder(main, slope, self.a_main, self.a_slope, self.b_main)
-        if self.profile == 1:
-            return [pref * p for p in p1], [0.0 * p for p in p1]
         return ([pref * (a + ln_reg * b) for a, b in zip(p0, p1)],
                 [pref * b for b in p1])
 
@@ -171,10 +178,9 @@ class FiniteLargeR:
     full value, and ``gamma_tail_bound`` bounds exactly that replacement.
     """
 
-    def __init__(self, lam, v0, depth, entries, remainder):
+    def __init__(self, lam, v0, entries, remainder):
         self.lam = lam
         self.v0 = v0
-        self.depth = depth
         self.entries = entries          # (i, m, q0_im, q1_im)
         self.remainder = remainder
 
@@ -210,26 +216,28 @@ def _supremum_nodes(v0):
 
 def _power_rows(entries, lam, contribution):
     """Rows of a large-r form, leading power first; contribution(s, q0, q1) is
-    an entry's (plain, log) pair.  A log row of rounding noise is dropped."""
+    an entry's (plain, log) pair.  A plain row of rounding noise is 0.0, a
+    log row of rounding noise is dropped."""
     by_power = {}
     for i, m, q0, q1 in entries:
         s = m + lam + 1.0
         p = 2.0 * (i - m) - 2.0 * lam - 2.0
         a, b = contribution(s, q0, q1)
-        slot = by_power.setdefault(round(p * 2), [0.0, 0.0, 0.0, p])
-        slot[0] += a
-        slot[1] += b
-        slot[2] += abs(b)
+        slot = by_power.setdefault(round(p * 2), [p, 0.0, 0.0, 0.0, 0.0])
+        slot[1] += a
+        slot[2] += abs(a)
+        slot[3] += b
+        slot[4] += abs(b)
     rows = []
     for key in sorted(by_power, reverse=True):
-        a, b, size, p = by_power[key]
-        rows.append(Row(p, False, a))
-        if abs(b) > 64.0 * np.finfo(float).eps * size:
+        p, a, a_size, b, b_size = by_power[key]
+        rows.append(Row(p, False, 0.0 if _is_noise(a, a_size) else a))
+        if not _is_noise(b, b_size):
             rows.append(Row(p, True, b))
     return rows
 
 
-def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
+def large_r_expansion(family, depth=None, v0=0.5):
     """(finite_form, limit_form) for a v-chart family.
 
     depth is the number of Taylor rows kept for the i = 0 coefficient
@@ -253,7 +261,7 @@ def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
     # Taylor-remainder suprema of the (depth+i)-th v-derivatives on (0, v0]
     nodes = _supremum_nodes(v0)
     samp0, samp1 = family.jets(Jet.variable(nodes, order))
-    tails = _tail_integrals(family, v0, tail_tol)
+    tails = _tail_integrals(family, v0)
     f_const, g_const = 0.0, 0.0
     for i in range(deg + 1):
         mi = depth + i            # first dropped Taylor index
@@ -268,7 +276,7 @@ def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
 
     remainder = {"r_power": -2.0 * (depth + lam + 1.0), "F": f_const, "G": g_const,
                  "validity": "r >= 1"}
-    finite = FiniteLargeR(lam, v0, depth, entries, remainder)
+    finite = FiniteLargeR(lam, v0, entries, remainder)
 
     def contribution(s, q0, q1):
         gs = gamma(s)
@@ -277,7 +285,10 @@ def large_r_expansion(family, depth=None, v0=0.5, tail_tol=1e-6):
     return finite, limit
 
 
-def _tail_integrals(family, v0, tol):
+_TAIL_TOL = 1e-6
+
+
+def _tail_integrals(family, v0):
     """int_{v0}^{1} v^lam (|q0_i| + |ln v| |q1_i|) dv for every row i, upper estimates."""
     lam = family.lam
 
@@ -289,14 +300,14 @@ def _tail_integrals(family, v0, tol):
         b = np.abs([q.coeffs[0] for q in q1])
         return v ** lam * (a - np.log(v) * b) * (1.0 - v0)
 
-    value, err = integrate_unit_interval(f, 0.0, tol)
+    value, err = integrate_unit_interval(f, 0.0, _TAIL_TOL)
     return (value + err) * 1.001
 
 
 _REPORT_DEPTH = {1: 3, 2: 4, 3: 3}
 
 
-def asymptotic_match_report(cfg, comp, part, r_values, v0=0.5, tol=1e-10):
+def asymptotic_match_report(cfg, comp, part, r_values, tol=1e-10):
     """Numeric-vs-series comparison table for one conformal part.
 
     The comparison object is the limit form truncated at the displayed
@@ -312,7 +323,7 @@ def asymptotic_match_report(cfg, comp, part, r_values, v0=0.5, tol=1e-10):
     d = cfg.d
     depth = _REPORT_DEPTH[d]
     coupling = part_coupling(d, cfg.xi, part)
-    finite, limit = large_r_expansion(VChartFamily(d, comp, coupling), depth=depth, v0=v0)
+    finite, limit = large_r_expansion(VChartFamily(d, comp, coupling), depth=depth)
 
     radii = [float(r) for r in r_values]
     numerics = stress_profiles(cfg, comp, np.array(radii), tol, coupling=coupling)[0]
@@ -322,7 +333,6 @@ def asymptotic_match_report(cfg, comp, part, r_values, v0=0.5, tol=1e-10):
         diff = abs(numeric - series)
         bound = limit.remainder_bound(r) + finite.gamma_tail_bound(r)
         rows.append({"r": r, "numeric": numeric, "series": series,
-                     "finite_series": finite.evaluate(r),
                      "abs_diff": diff, "bound": bound,
                      "within_bound": diff <= bound})
     # the residuals of a profile that vanishes to within tol are rounding noise

@@ -194,10 +194,7 @@ def _parse_xi(text: str) -> Callable[[int], float]:
 
 
 def _radius_grid(args) -> np.ndarray:
-    if args.r is not None:
-        r_min, r_max, r_steps = args.r
-    else:
-        r_min, r_max, r_steps = args.r_min, args.r_max, args.r_steps
+    r_min, r_max, r_steps = args.r
     if not (math.isfinite(r_steps) and r_steps == int(r_steps) and r_steps >= 1):
         raise ValidationFailure("r_steps (STEPS) must be a finite integer >= 1")
     r_steps = int(r_steps)
@@ -278,16 +275,6 @@ def _run_stress(args) -> int:
     return 0
 
 
-def _t0_polys(d, comp, coupling):
-    """The t0 profile's polynomials for ``small_r_expansion``: (P0, P1)
-    stacked in odd d, P0 alone in even d, where P1 vanishes."""
-    pair = build_P_polynomials(d, comp, coupling)
-    if d % 2 == 1:
-        return pair
-    p0, _ = pair
-    return p0
-
-
 def _run_asympt(args) -> int:
     xi_of_d = _parse_xi(args.xi)
     cfg = _harmonic_config(args, xi_of_d)
@@ -296,7 +283,7 @@ def _run_asympt(args) -> int:
         raise ValidationFailure("asympt radii must be > 0")
     rows = []
     coupling = part_coupling(cfg.d, cfg.xi, args.part)
-    small = small_r_expansion(_t0_polys(cfg.d, args.component, coupling),
+    small = small_r_expansion(build_P_polynomials(cfg.d, args.component, coupling),
                               _SMALL_R_TERMS[cfg.d], tol=args.tol)
     _, limit = large_r_expansion(VChartFamily(cfg.d, args.component, coupling))
     columns = ["kind", "r_power", "has_log", "coefficient",
@@ -351,15 +338,7 @@ def _run_selftest(args) -> int:
         all_ok = all_ok and ok
         rows.append(["criterion_%02d" % index,
                      "PASS" if ok else "FAIL", detail])
-    config = {
-        "command": "selftest",
-        "version": __version__,
-        "d": "all",
-        "xi": "conformal",
-        "kappa_over_k": 1.0,
-        "tol": 1e-9,
-    }
-    _emit(args, config, columns, rows, [])
+    _emit(args, _base_config(args, "all"), columns, rows, [])
     return 0 if all_ok else 3
 
 
@@ -420,10 +399,9 @@ def _c04_small_r_tables():
     worst = 0.0
     for (d, comp, profile, part), pinned in sorted(_PINNED_SMALL_R.items()):
         coupling = part_coupling(d, None, part)
-        if profile == 0:
-            poly = _t0_polys(d, comp, coupling)
-        else:
-            _, poly = build_P_polynomials(d, comp, coupling)
+        poly = build_P_polynomials(d, comp, coupling)
+        if profile == 1:
+            _, poly = poly
         series = small_r_expansion(poly, len(pinned) - 1, tol=1e-10)
         for i, want in enumerate(pinned):
             got = series.rows[i].coefficient
@@ -447,7 +425,7 @@ def _c04_small_r_tables():
 
 
 def _c05_remainder_inequality():
-    series = small_r_expansion(_t0_polys(1, "tt", xi_conformal(1)), 3, tol=1e-10)
+    series = small_r_expansion(build_P_polynomials(1, "tt", xi_conformal(1)), 3, tol=1e-10)
     bound_c = series.remainder["F"]
     power = series.remainder["r_power"]
     coeff_err = series.remainder["coefficient_errors"]
@@ -716,7 +694,13 @@ def run_criterion(index: int):
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _add_common(parser, default_tol=1e-9):
+def _add_output(parser):
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--output", default=None,
+                        help="output path ('-' or omitted for stdout)")
+
+
+def _add_profile_options(parser, default_tol, default_grid):
     parser.add_argument("--xi", default="conformal",
                         help="curvature coupling: a real number or 'conformal'")
     parser.add_argument("--kappa-over-k", type=float, default=1.0,
@@ -724,19 +708,11 @@ def _add_common(parser, default_tol=1e-9):
                         help="renormalization scale over trap scale")
     parser.add_argument("--tol", type=float, default=default_tol,
                         help="quadrature tolerance")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", default=None,
-                        help="output path ('-' or omitted for stdout)")
-
-
-def _add_radius(parser, r_min, r_max, r_steps):
-    parser.add_argument("--r", nargs=3, type=float, default=None,
+    _add_output(parser)
+    parser.add_argument("--r", nargs=3, type=float, default=default_grid,
                         metavar=("MIN", "MAX", "STEPS"),
-                        help="radial grid as min max steps")
-    parser.add_argument("--r-min", type=float, default=r_min, dest="r_min")
-    parser.add_argument("--r-max", type=float, default=r_max, dest="r_max")
-    parser.add_argument("--r-steps", type=int, default=r_steps,
-                        dest="r_steps")
+                        help="radial grid as min max steps (default %g %g %d)"
+                        % default_grid)
 
 
 _COMPONENT_HELP = ("stress component; theta1theta1_reduced is the angular one "
@@ -756,7 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--d", type=int, required=True)
     p_energy.add_argument("--n", type=int, default=None,
                           help="derivative count for the quadrature route")
-    _add_common(p_energy, default_tol=1e-10)
+    p_energy.add_argument("--tol", type=float, default=1e-10,
+                          help="quadrature tolerance")
+    _add_output(p_energy)
 
     p_stress = sub.add_parser("stress", help="renormalized stress profiles")
     p_stress.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
@@ -764,8 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=_COMPONENT_HELP)
     p_stress.add_argument("--k", type=float, default=None,
                           help="trap scale; adds a physical-coordinate column")
-    _add_common(p_stress)
-    _add_radius(p_stress, 0.0, 5.0, 11)
+    _add_profile_options(p_stress, 1e-9, (0.0, 5.0, 11))
 
     p_asympt = sub.add_parser("asympt", help="series rows and matching report")
     p_asympt.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
@@ -773,14 +750,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help=_COMPONENT_HELP)
     p_asympt.add_argument("--part", choices=("diamond", "square", "raw"),
                           default="diamond")
-    _add_common(p_asympt, default_tol=1e-10)
-    _add_radius(p_asympt, 5.0, 10.0, 3)
+    _add_profile_options(p_asympt, 1e-10, (5.0, 10.0, 3))
 
     p_self = sub.add_parser("selftest", help="golden acceptance checks")
     p_self.add_argument("--criteria", default=None,
                         help="comma-separated criterion numbers (default all)")
-    p_self.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_self.add_argument("--output", default=None)
+    _add_output(p_self)
     return parser
 
 

@@ -23,11 +23,8 @@ import math
 
 import numpy as np
 
-from typing import NamedTuple
-
-from .jets import Jet, derivative
+from .jets import Jet
 from .kernels import COMPONENTS, HyperbolicJets, bracket_factors
-from .quadrature import WeightedIntegrand, integrate_semiaxis
 from .specfun import EULER_GAMMA
 
 
@@ -40,11 +37,6 @@ def minimal_derivative_count(d):
 def weight_exponent(d, n):
     """Exponent of the tau weight left over after n integrations by parts."""
     return n - 0.5 * (d + 3)
-
-
-class LaurentPair(NamedTuple):
-    pole_coeff: float
-    regular_value: float
 
 
 class RSquarePoly:
@@ -120,12 +112,12 @@ def u_affine_ladder(basis, d, comp, xi, n):
     return main, slope
 
 
-def _generic_prefactors(d, n, kappa_over_k=1.0):
+def _generic_prefactors(d, n):
     """u-jet data of N(u) around u = 0.
 
-    Odd d: N(u) = (2/u)(W0 + u W1 + ...); returns ("pole", W0, W1, S) with
+    Odd d: N(u) = (2/u)(W0 + u W1 + ...); returns ("pole", W0, S) with
     S the sum of reciprocal non-pole factors.  Even d: N regular; returns
-    ("regular", N0, N1, S).
+    ("regular", N0, S).
     """
     shift = 0.5 * (d + 3)
     js = list(range(1, n + 1))
@@ -133,7 +125,6 @@ def _generic_prefactors(d, n, kappa_over_k=1.0):
     for j in js:
         if abs(j - shift) < 1e-12:
             pole_j = j
-    log_deriv = math.log(kappa_over_k) + 0.5 * (EULER_GAMMA + 2.0 * math.log(2.0))
     prod = 1.0
     sum_inv = 0.0
     for j in js:
@@ -142,9 +133,8 @@ def _generic_prefactors(d, n, kappa_over_k=1.0):
         prod *= (j - shift)
         sum_inv += 1.0 / (j - shift)
     c0 = (-1.0) ** n / (math.sqrt(math.pi) * prod)
-    c1 = c0 * (log_deriv - 0.5 * sum_inv)
     kind = "pole" if pole_j is not None else "regular"
-    return kind, c0, c1, sum_inv
+    return kind, c0, sum_inv
 
 
 # printed per-dimension prefactor combinations (minimal n only):
@@ -175,7 +165,7 @@ def p_constants(d, n=None, pipeline=None):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if n < n_min:
         raise ValueError(f"need n >= {n_min} for d={d}")
-    kind, c0, _, sum_inv = _generic_prefactors(d, n)
+    kind, c0, sum_inv = _generic_prefactors(d, n)
     if kind == "pole":
         # finite part of (2/u)(W0 + u W1) J(u) with the scale term split off
         return -c0 * sum_inv, 2.0 * c0, c0, n
@@ -213,43 +203,6 @@ def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
                          for rows in p_from_ladder(main, slope, a_main, a_slope, b_main)])
 
     return _PPair(n + 1, coeffs, weight_exponent(d, n))
-
-
-def ibp_mellin(H, rho, n, sigma, tol=1e-11):
-    """Analytically continued Mellin transform int_0^inf t^(sigma-rho-1) H dt.
-
-    H must accept a Jet and return a Jet (so its n-th derivative is exact);
-    it has to be smooth at 0 and decaying.  Valid for sigma - rho > -n with
-    none of sigma - rho + j, 0 <= j < n, hitting zero.
-    """
-    denom = 1.0
-    for j in range(n):
-        factor = sigma - rho + j
-        if abs(factor) < 1e-14:
-            raise ValueError("sigma - rho hits an integration-by-parts pole")
-        denom *= factor
-
-    def smooth(t):
-        return derivative(H(Jet.variable(t, n)), n)
-
-    alpha = sigma - rho + n - 1.0
-    value, err = integrate_semiaxis(WeightedIntegrand(alpha, smooth), tol)
-    return (-1.0) ** n / denom * value, abs(err / denom)
-
-
-def regular_part_at_zero(prefactor_spec, J0, J1):
-    """Assemble the Laurent data of N(u) * (J0 + u J1) at u = 0.
-
-    prefactor_spec: dict with keys d, kappa_over_k and optionally n
-    (defaults to the minimal derivative count).  Returns LaurentPair.
-    """
-    d = prefactor_spec["d"]
-    kok = prefactor_spec.get("kappa_over_k", 1.0)
-    n = prefactor_spec.get("n", minimal_derivative_count(d))
-    kind, c0, c1, _ = _generic_prefactors(d, n, kok)
-    if kind == "pole":
-        return LaurentPair(2.0 * c0 * J0, 2.0 * (c1 * J0 + c0 * J1))
-    return LaurentPair(0.0, c0 * J0)
 
 
 def renorm_scale_constant(kappa_over_k):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .jets import Jet, derivative, jet_lift_and_compose, sinhc_jet
 from .quadrature import WeightedIntegrand, integrate_semiaxis
-from .specfun import gamma, hurwitz_zeta, riemann_zeta
+from .specfun import gamma, riemann_zeta
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,6 @@ def bulk_energy_zeta(d):
     else:
         raise ValueError("closed zeta forms cover d in {1, 2, 3}")
     return EnergyResult(val, "zeta", 1e-12)
-
-
-def _d3_energy_hurwitz():
-    # Same d=3 energy routed through Hurwitz values at a = 3/2; the shifted
-    # sum over even/odd oscillator levels lands here before it is folded
-    # back onto the Riemann line.  Kept as an identity check target.
-    rt2 = math.sqrt(2.0)
-    return (hurwitz_zeta(-2.5, 1.5) / (2.0 * rt2)
-            - hurwitz_zeta(-0.5, 1.5) / (8.0 * rt2))
 
 
 # -- diagnostics: spectral sum and boundary scan -----------------------

@@ -4,12 +4,12 @@ The oscillator heat kernel factorizes into 1d Mehler kernels; everything
 downstream only needs a small set of hyperbolic functions of the
 diagonal-time variable tau, assembled here as Taylor jets.
 
-``h_component`` returns the order-(u^0, u^1) pair of the integrand
-coefficient for one stress-tensor component: a shared prefactor
-(1/8)(4 pi)^(-d/2) (2 tau / sinh 2 tau)^(d/2) e^(-r^2 tanh tau) times a
-bracket that is affine in the analytic-continuation variable u and (for
-the u^0 part) linear in r^2.  The angular component is the reduced one,
-i.e. with the metric factor (r/k)^2 stripped off.
+``bracket_factors`` gives the integrand coefficient of one stress-tensor
+component: a shared prefactor (1/8)(4 pi)^(-d/2) (2 tau / sinh 2 tau)^(d/2)
+e^(-r^2 tanh tau) times a bracket that is affine in the
+analytic-continuation variable u and (for the u^0 part) linear in r^2.
+The angular component is the reduced one, i.e. with the metric factor
+(r/k)^2 stripped off.
 
 Every bracket is linear in the coupling vector (one, xi): a float xi
 stands for (1.0, xi), and ``XI_SLOPE`` = (0.0, 1.0) gives the exact
@@ -18,7 +18,6 @@ xi-slope of anything built from the brackets.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,12 +64,6 @@ class HarmonicConfig:
     @property
     def kappa_over_k(self):
         return self.kappa / self.k
-
-
-class AffineInU(NamedTuple):
-    """A quantity of the form at_zero + u * u_slope."""
-    at_zero: object
-    u_slope: object
 
 
 def mehler_kernel_1d(tau, x, y, k=1.0):
@@ -136,7 +129,7 @@ class HyperbolicJets:
 
 
 def bracket_factors(d, comp, basis, xi):
-    """Exponential-stripped factorization of the h_component pair.
+    """Exponential-stripped factorization of the integrand coefficient.
 
     Returns (w, b0, b1, c) with
       H(u; r) = w * e^(-r^2 tanh tau) * [ (b0 + b1 r^2) + u * c ],
@@ -175,17 +168,3 @@ def bracket_factors(d, comp, basis, xi):
         c = one - 4.0 * xi
     return w, b0, b1, c
 
-
-def h_component(d, comp, tau_jet, r, xi):
-    """The u-affine heat-kernel coefficient pair for one component.
-
-    Returns AffineInU(H0, H1) of jets sharing tau_jet's base points, with
-    the gaussian factor e^(-r^2 tanh tau) included.
-    """
-    basis = HyperbolicJets.from_tau(tau_jet)
-    w, b0, b1, c = bracket_factors(d, comp, basis, xi)
-    gauss = lift("exp", basis.th * (-r * r))
-    pref = w * gauss
-    h0 = pref * (b0 + b1 * (r * r))
-    h1 = pref * c
-    return AffineInU(h0, h1)

@@ -72,7 +72,10 @@ def _ts_sum(f, lam, h, odd_only):
     return total
 
 
-def integrate_unit_interval(f, lam, tol=1e-12, max_level=11):
+_MAX_LEVEL = 11  # halvings of the tanh-sinh step after the first level
+
+
+def integrate_unit_interval(f, lam, tol=1e-12):
     """int_0^1 x^lam f(x) dx, lam > -1; f vectorized over node arrays."""
     if lam <= -1.0:
         raise ValueError("weight exponent must satisfy lam > -1")
@@ -85,7 +88,7 @@ def integrate_unit_interval(f, lam, tol=1e-12, max_level=11):
     # err holds the last level difference until an entry stops, then its estimate
     err = np.full(np.shape(value), np.inf)
     active = np.ones(np.shape(value), dtype=bool)
-    for _ in range(max_level):
+    for _ in range(_MAX_LEVEL):
         if not active.any():
             break
         h *= 0.5

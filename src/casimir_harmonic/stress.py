@@ -54,12 +54,9 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None
 
     def smooth(tau_nodes):
         p0, p1 = np.exp(-r_col * r_col * np.tanh(tau_nodes)) * poly.values(tau_nodes, r)
-        if cfg.d % 2 == 0:
-            return p0
         return np.stack([p0, np.log(tau_nodes) * p1, p1])
 
-    values, _ = integrate_semiaxis(WeightedIntegrand(poly.lam, smooth), tol / 3.0)
-    t0, t0_log, t1 = values if cfg.d % 2 else (values, 0.0, np.zeros(r.shape)[()])
+    t0, t0_log, t1 = integrate_semiaxis(WeightedIntegrand(poly.lam, smooth), tol / 3.0)[0]
     return t0 + t0_log, t1
 
 

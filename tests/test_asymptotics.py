@@ -33,8 +33,7 @@ PI = math.pi
 
 
 def _conformal_small_r(d, comp, n_terms, tol=1e-10):
-    pair = build_P_polynomials(d, comp, xi_conformal(d))
-    return small_r_expansion(pair if d % 2 == 1 else next(iter(pair)), n_terms,
+    return small_r_expansion(build_P_polynomials(d, comp, xi_conformal(d)), n_terms,
                              tol=tol)
 
 

@@ -41,12 +41,21 @@ def test_energy_d3_values(capsys):
 
 
 def test_energy_header_echoes_config(capsys):
-    _, out, _ = run(capsys, "energy", "--d", "2", "--kappa-over-k", "2.0")
+    _, out, _ = run(capsys, "energy", "--d", "2", "--tol", "1e-8")
     header = out.split("\n")[0]
     assert header == (
-        "# casimir-harmonic v%s d=2 xi=conformal kappa_over_k=2 tol=1e-10"
+        "# casimir-harmonic v%s d=2 xi=conformal kappa_over_k=1 tol=1e-08"
         % __version__
     )
+
+
+@pytest.mark.parametrize("flag,value", [("--xi", "banana"), ("--kappa-over-k", "nan")])
+def test_energy_rejects_profile_flags(capsys, flag, value):
+    # E/k depends on neither the coupling nor the subtraction scale
+    with pytest.raises(SystemExit) as exc:
+        main(["energy", "--d", "1", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_energy_above_d3_has_no_zeta_column_value(capsys):
@@ -132,7 +141,7 @@ def test_output_file_writing(tmp_path, capsys):
 
 
 def test_empty_radius_grid_exits_2(capsys):
-    code, out, err = run(capsys, "stress", "--d", "1", "--r-steps", "0")
+    code, out, err = run(capsys, "stress", "--d", "1", "--r", "0", "5", "0")
     assert code == 2
     assert out == ""
     message = json.loads(err)
@@ -151,7 +160,7 @@ def test_bad_xi_exits_2(capsys):
     ["stress", "--d", "2", "--xi", "inf"],
     ["stress", "--d", "1", "--r", "0", "inf", "3"],
     ["stress", "--d", "3", "--r", "nan", "1", "3"],
-    ["stress", "--d", "1", "--r-max", "nan"],
+    ["stress", "--d", "1", "--r", "0", "nan", "11"],
     ["stress", "--d", "1", "--tol", "nan"],
     ["stress", "--d", "1", "--kappa-over-k", "nan"],
     ["stress", "--d", "1", "--k", "inf"],
@@ -238,3 +247,26 @@ def test_asympt_notes_a_vanishing_profile(capsys, d, component, vanishes):
     slopes = next(n for n in notes if n.startswith("match slopes")).split(": ")[1]
     assert (slopes == "nan nan") == vanishes
     assert any("vanishes to within tol" in n for n in notes) == vanishes
+
+
+def test_asympt_prints_noise_rows_as_zero(capsys):
+    # the d=1 rr xi-slope vanishes identically, so every row is noise
+    code, out, _ = run(capsys, "asympt", "--d", "1", "--part", "square",
+                       "--component", "rr", "--r", "4", "12", "3")
+    assert code == 0
+    columns, rows, _ = parse_csv(out)
+    coefficients = [row[columns.index("coefficient")] for row in rows
+                    if row[0] != "match"]
+    assert coefficients and all(float(c) == 0.0 for c in coefficients)
+
+
+@pytest.mark.parametrize("argv,radii", [
+    (["stress", "--d", "2"], [0.5 * i for i in range(11)]),
+    (["asympt", "--d", "3"], [5.0, 7.5, 10.0]),
+], ids=["stress", "asympt"])
+def test_default_radius_grid(capsys, argv, radii):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    columns, rows, _ = parse_csv(out)
+    cells = [row[columns.index("r")] for row in rows]
+    assert [float(c) for c in cells if c != ""] == pytest.approx(radii, abs=1e-12)

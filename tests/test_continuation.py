@@ -5,17 +5,40 @@ import math
 import numpy as np
 import pytest
 
-from casimir_harmonic.continuation import (build_P_polynomials, ibp_mellin,
+from casimir_harmonic.continuation import (build_P_polynomials,
                                            minimal_derivative_count,
-                                           p_constants, regular_part_at_zero,
-                                           renorm_scale_constant,
+                                           p_constants, renorm_scale_constant,
                                            weight_exponent)
 from casimir_harmonic.energy import In_quadrature, In_zeta
-from casimir_harmonic.jets import (Jet, jet_lift_and_compose, sinhc_jet)
+from casimir_harmonic.jets import (Jet, derivative, jet_lift_and_compose,
+                                   sinhc_jet)
 from casimir_harmonic.kernels import COMPONENTS, HyperbolicJets
+from casimir_harmonic.quadrature import WeightedIntegrand, integrate_semiaxis
 from casimir_harmonic.specfun import EULER_GAMMA, gamma
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def ibp_mellin(H, rho, n, sigma, tol=1e-11):
+    """Analytically continued Mellin transform int_0^inf t^(sigma-rho-1) H dt.
+
+    H must accept a Jet and return a Jet (so its n-th derivative is exact);
+    it has to be smooth at 0 and decaying.  Valid for sigma - rho > -n with
+    none of sigma - rho + j, 0 <= j < n, hitting zero.
+    """
+    denom = 1.0
+    for j in range(n):
+        factor = sigma - rho + j
+        if abs(factor) < 1e-14:
+            raise ValueError("sigma - rho hits an integration-by-parts pole")
+        denom *= factor
+
+    def smooth(t):
+        return derivative(H(Jet.variable(t, n)), n)
+
+    alpha = sigma - rho + n - 1.0
+    value, err = integrate_semiaxis(WeightedIntegrand(alpha, smooth), tol)
+    return (-1.0) ** n / denom * value, abs(err / denom)
 
 
 def _exp_decay(j):
@@ -111,28 +134,6 @@ def test_printed_pipeline_refuses_higher_n():
         p_constants(3, n=2, pipeline="generic")
     with pytest.raises(ValueError):
         p_constants(2, pipeline="exact")
-
-
-def test_regular_part_scale_slope_odd_d():
-    """Per unit of ln(kappa/k), the finite part moves by exactly the 1/u
-    coefficient -- the Laurent-level form of the renormalization scale law."""
-    j0, j1 = 0.3, -0.7
-    at_unit = regular_part_at_zero({"d": 1, "kappa_over_k": 1.0}, j0, j1)
-    at_e = regular_part_at_zero({"d": 1, "kappa_over_k": math.e}, j0, j1)
-    assert at_e.pole_coeff == pytest.approx(at_unit.pole_coeff, rel=1e-14)
-    assert at_e.regular_value - at_unit.regular_value == pytest.approx(
-        at_unit.pole_coeff, rel=1e-12)
-
-
-def test_regular_part_even_d_has_no_pole():
-    j0, j1 = 1.1, 0.4
-    one = regular_part_at_zero({"d": 2, "kappa_over_k": 1.0}, j0, j1)
-    three = regular_part_at_zero({"d": 2, "kappa_over_k": 3.0}, j0, j1)
-    assert one.pole_coeff == 0.0
-    assert one.regular_value == pytest.approx(three.regular_value, rel=1e-14)
-    # and the slope integral never enters
-    other = regular_part_at_zero({"d": 2}, j0, 99.0)
-    assert one.regular_value == pytest.approx(other.regular_value, rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

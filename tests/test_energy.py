@@ -17,12 +17,12 @@ from casimir_harmonic.energy import (
     EnergyResult,
     In_quadrature,
     In_zeta,
-    _d3_energy_hurwitz,
     boundary_energy_scan,
     bulk_energy_quadrature,
     bulk_energy_zeta,
     spectral_trace_oracle,
 )
+from casimir_harmonic.specfun import hurwitz_zeta
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -192,9 +192,10 @@ def test_d3_hurwitz_resummation():
     # The d=3 energy can be regrouped into two Hurwitz zeta values at shifted
     # argument 3/2; the identity with the Riemann form is exact, so the two
     # evaluations should match far below the pipeline tolerances.
-    assert _d3_energy_hurwitz() == pytest.approx(
-        bulk_energy_zeta(3).value_per_k, abs=1e-12
-    )
+    rt2 = math.sqrt(2.0)
+    hurwitz = (hurwitz_zeta(-2.5, 1.5) / (2.0 * rt2)
+               - hurwitz_zeta(-0.5, 1.5) / (8.0 * rt2))
+    assert hurwitz == pytest.approx(bulk_energy_zeta(3).value_per_k, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,7 @@ def test_d1_rr_square_part_vanishes(r):
 @functools.lru_cache(maxsize=None)
 def _package_series(d, comp, coupling):
     """Package coefficients of r^0, r^2, r^4 of the t0 profile."""
-    pair = build_P_polynomials(d, comp, coupling)
-    series = small_r_expansion(pair if d % 2 == 1 else next(iter(pair)), 2, tol=1e-11)
+    series = small_r_expansion(build_P_polynomials(d, comp, coupling), 2, tol=1e-11)
     return [row.coefficient for row in series.rows]
 
 
