@@ -14,6 +14,7 @@ series in inverse powers of r with ln r^2 companions.  Both remainders
 are folded into constants multiplying a single power of r.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,7 +148,8 @@ class VChartFamily:
 
     The t0 integrand carries ln tau, which splits into ln v + a regular
     piece here.  xi is any coupling ``bracket_factors`` takes; XI_SLOPE
-    gives the exact xi-slope.
+    gives the exact xi-slope.  Families with equal (d, comp, xi) are equal,
+    so the large-r expansion computes what they share once.
     """
 
     def __init__(self, d, comp, xi):
@@ -157,6 +159,13 @@ class VChartFamily:
         self.a_main, self.a_slope, self.b_main, self.n = p_constants(d)
         self.lam = weight_exponent(d, self.n)
         self.degree = self.n + 1
+
+    def __eq__(self, other):
+        return isinstance(other, VChartFamily) and \
+            (self.d, self.comp, self.xi) == (other.d, other.comp, other.xi)
+
+    def __hash__(self):
+        return hash((self.d, self.comp, self.xi))
 
     def jets(self, v_jet):
         basis = HyperbolicJets.from_tanh(v_jet)
@@ -247,6 +256,24 @@ def large_r_expansion(family, depth=None, v0=0.5):
     """
     if depth is None:
         depth = _DEFAULT_DEPTH[family.d]
+    lam = family.lam
+    entries, f_const, g_const = _large_r_constants(family, depth, v0)
+    remainder = {"r_power": -2.0 * (depth + lam + 1.0), "F": f_const, "G": g_const,
+                 "validity": "r >= 1"}
+    finite = FiniteLargeR(lam, v0, list(entries), remainder)
+
+    def contribution(s, q0, q1):
+        gs = gamma(s)
+        return gs * (q0 + digamma(s) * q1), -gs * q1
+    limit = SeriesExpansion(_power_rows(entries, lam, contribution), dict(remainder))
+    return finite, limit
+
+
+# An asympt request asks for the expansion at two depths, equal in d = 1;
+# the tail integrals do not depend on the depth.
+@functools.lru_cache(maxsize=8)
+def _large_r_constants(family, depth, v0):
+    """(Taylor entries (i, m, q0, q1), F, G) of the expansion at depth."""
     lam, deg = family.lam, family.degree
     order = depth + deg + family.n + 1
 
@@ -273,21 +300,13 @@ def large_r_expansion(family, depth=None, v0=0.5):
         g_const += s1 * gamma(sigma) / math.factorial(mi)
         # integral tail past v0, folded with e^(-z) <= (p/(e z))^p
         f_const += tails[i] * (sigma / (math.e * v0)) ** sigma
-
-    remainder = {"r_power": -2.0 * (depth + lam + 1.0), "F": f_const, "G": g_const,
-                 "validity": "r >= 1"}
-    finite = FiniteLargeR(lam, v0, entries, remainder)
-
-    def contribution(s, q0, q1):
-        gs = gamma(s)
-        return gs * (q0 + digamma(s) * q1), -gs * q1
-    limit = SeriesExpansion(_power_rows(entries, lam, contribution), dict(remainder))
-    return finite, limit
+    return tuple(entries), f_const, g_const
 
 
 _TAIL_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=8)
 def _tail_integrals(family, v0):
     """int_{v0}^{1} v^lam (|q0_i| + |ln v| |q1_i|) dv for every row i, upper estimates."""
     lam = family.lam
@@ -301,7 +320,7 @@ def _tail_integrals(family, v0):
         return v ** lam * (a - np.log(v) * b) * (1.0 - v0)
 
     value, err = integrate_unit_interval(f, 0.0, _TAIL_TOL)
-    return (value + err) * 1.001
+    return tuple((value + err) * 1.001)
 
 
 _REPORT_DEPTH = {1: 3, 2: 4, 3: 3}

@@ -276,27 +276,32 @@ def sinhc_jet(inner, scale=1.0):
     coefficients of size ~ 1/t^m, which overflow at the double-
     exponentially small nodes the unit-interval quadrature produces.
     Wherever |s*t| < 1 the (entire) even Taylor series of the function
-    itself is used instead; the two branches are merged per node, and a
-    branch that no node takes is not evaluated.
+    itself is used instead.  Each branch runs only on the nodes that take
+    it, and the two are scattered back into place.
     """
-    k = inner.order
-    t0 = np.asarray(inner.coeffs[0], dtype=float)
-    small = np.abs(scale * t0) < 1.0
-    any_small, all_small = small.any(), small.all()
+    coeffs = inner.coeffs
+    small = np.abs(scale * coeffs[0]) < 1.0
+    if small.all():
+        out = _sinhc_small(inner, scale)
+    elif not small.any():
+        out = _sinhc_large(inner, scale)
+    else:
+        out = np.empty(coeffs.shape)
+        out[:, small] = _sinhc_small(Jet(inner.base_point, coeffs[:, small]), scale)
+        out[:, ~small] = _sinhc_large(Jet(inner.base_point, coeffs[:, ~small]), scale)
+    return Jet(inner.base_point, out)
 
-    if any_small:
-        fc = _sinhc_series(np.where(small, t0, 0.0), k, scale)
-        ser = _compose_about_value(inner, fc).coeffs
-        if all_small:
-            return Jet(inner.base_point, ser)
 
-    safec = inner.coeffs.copy()
-    safec[0] = np.where(small, 1.0 / scale, t0)
-    u = Jet(inner.base_point, safec) * scale
-    big = (jet_lift_and_compose("sinh", u) * jet_lift_and_compose("reciprocal", u)).coeffs
-    if not any_small:
-        return Jet(inner.base_point, big)
-    return Jet(inner.base_point, np.where(small, ser, big))
+def _sinhc_small(inner, scale):
+    """Coefficients of sinhc_jet from the series, for nodes with |s*t| < 1."""
+    fc = _sinhc_series(inner.coeffs[0], inner.order, scale)
+    return _compose_about_value(inner, fc).coeffs
+
+
+def _sinhc_large(inner, scale):
+    """Coefficients of sinhc_jet as sinh(u) * (1/u), u = s*t, for |s*t| >= 1."""
+    u = inner * scale
+    return (jet_lift_and_compose("sinh", u) * jet_lift_and_compose("reciprocal", u)).coeffs
 
 
 def jet_lift_and_compose(tag, inner, exponent=None):

@@ -10,13 +10,36 @@ Two entry points:
 
 * ``integrate_semiaxis(WeightedIntegrand, tol)`` -- int_0^inf
   tau^alpha f(tau) dtau, split at tau = 1: the unit piece goes through the
-  tanh-sinh rule, the tail through Gauss-Legendre panels on doubling
-  intervals [1,2], [2,4], ... truncated once the panel bound drops below
-  the tolerance.
+  tanh-sinh rule at 0.5 * tol, the tail through Gauss-Legendre panels on
+  doubling intervals [1,2], [2,4], ... truncated once the panel bound drops
+  below the tolerance.
 
-f may return shape (..., nodes): each leading entry is an integral of its
-own on the same nodes, with its own stopping rule and error estimate, so
-it gets exactly the value of a call on that entry alone.
+f is elementwise along the node axis: its value at a node depends on that
+node alone, whatever other nodes share the call.  Every integrand in the
+package is.  f may return shape (..., nodes): each leading entry is an
+integral of its own on the same nodes, with its own stopping rule and
+error estimate, so it gets exactly the value of a call on that entry
+alone.  A scalar return value is constant along the nodes.
+
+Step schedule.  Each rule runs as a generator that yields the nodes of its
+next step and receives f's values on them; ``_step_together`` joins the
+nodes of every rule still running and calls f once per step.  The
+tanh-sinh rule's first step holds the centre and levels 0-2 (an entry's
+error is inf until level 1, so none can stop before level 2); each later
+step holds one branch of the next level, x -> 1 then x -> 0.  The tail's
+steps hold one panel each, both Gauss-Legendre rules.  So
+``integrate_semiaxis`` calls f once for the centre, levels 0-2 and panel
+[1, 2], then once per further branch and panel together while its rule
+runs.  The two branches of a level stay in separate calls, which keeps
+the integrand's intermediates as small as a one-branch call.  Branch
+sums, panel dot products, accumulation order and stopping rules are those
+of each rule run on its own, so values and errors are the same bit for bit.
+
+Errors.  A rule that fails raises ``QuadratureError``.  When both rules of
+``integrate_semiaxis`` fail, the unit-interval rule's error is raised, as
+if the unit piece were integrated first; a tail failure is raised once
+the unit rule has finished without one.  An exception raised by f itself
+propagates from the call that raised it.
 
 Both return ``(value, err_estimate)`` with a deliberately conservative
 estimate (observed true error stays below it on the golden integrals).
@@ -60,39 +83,49 @@ def _ts_nodes(h, odd_only):
     return ln_x_pos, ln_x_neg, ln_jac
 
 
-def _ts_sum(f, lam, h, odd_only):
-    """Sum of weighted integrand over tanh-sinh nodes (center excluded unless level 0)."""
+def _ts_branches(lam, h, odd_only):
+    """(x, w) of the x -> 1 and the x -> 0 branch of one tanh-sinh level."""
     ln_xp, ln_xn, ln_jac = _ts_nodes(h, odd_only)
-    total = 0.0
-    for ln_x in (ln_xp, ln_xn):
-        x = np.exp(ln_x)
-        w = np.exp(lam * ln_x + ln_jac)
-        vals = w * np.asarray(f(x), dtype=float)
-        total += np.sum(vals, axis=-1)
-    return total
+    return [(np.exp(ln_x), np.exp(lam * ln_x + ln_jac)) for ln_x in (ln_xp, ln_xn)]
 
 
 _MAX_LEVEL = 11  # halvings of the tanh-sinh step after the first level
 
 
-def integrate_unit_interval(f, lam, tol=1e-12):
-    """int_0^1 x^lam f(x) dx, lam > -1; f vectorized over node arrays."""
+def _unit_rule(lam, tol):
+    """Step generator of the tanh-sinh rule for int_0^1 x^lam f(x) dx."""
     if lam <= -1.0:
         raise ValueError("weight exponent must satisfy lam > -1")
+    first = [_ts_branches(lam, 0.5 ** (level + 1), level > 0) for level in range(3)]
+    # the centre t = 0 -> x = 1/2, then levels 0-2, two branches each
+    vals = yield [np.array([0.5])] + [x for level in first for x, _ in level]
+    center = 0.5 ** lam * vals[0][..., 0] * 0.25 * np.pi
+    sums = []
+    for i, level in enumerate(first):
+        total = 0.0
+        for (_, w), v in zip(level, vals[1 + 2 * i: 3 + 2 * i]):
+            total += np.sum(w * v, axis=-1)
+        sums.append(total)
+    del vals, v
     h = 0.5
-    # center node t = 0 -> x = 1/2
-    f_half = (np.asarray(f(np.array([0.5])), dtype=float) * np.ones(1))[..., 0]
-    center = 0.5 ** lam * f_half * 0.25 * np.pi
-    acc = center + _ts_sum(f, lam, h, odd_only=False)
+    acc = center + sums[0]
     value = h * acc
     # err holds the last level difference until an entry stops, then its estimate
     err = np.full(np.shape(value), np.inf)
     active = np.ones(np.shape(value), dtype=bool)
-    for _ in range(_MAX_LEVEL):
+    for level in range(1, _MAX_LEVEL + 1):
         if not active.any():
             break
         h *= 0.5
-        acc = acc + _ts_sum(f, lam, h, odd_only=True)
+        if level < len(first):
+            total = sums[level]
+        else:
+            total = 0.0
+            for x, w in _ts_branches(lam, h, odd_only=True):
+                v, = yield [x]
+                total += np.sum(w * v, axis=-1)
+                del v       # the step's values must not outlive it
+        acc = acc + total
         new_value = h * acc
         if not np.isfinite(new_value[active]).all():
             raise QuadratureError("unit-interval rule hit a non-finite integrand value")
@@ -111,30 +144,27 @@ _GL_HI = np.polynomial.legendre.leggauss(40)
 _GL_LO = np.polynomial.legendre.leggauss(20)
 
 
-def _gl_rule(g, a, b, rule):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xi, w = rule
-    vals = np.asarray(g(mid + half * xi), dtype=float)
+def _gl_sum(half, w, vals):
     # one dot product per entry: a matrix-vector product rounds differently,
     # and every entry must equal the call on that entry alone
     rows = vals.reshape(-1, vals.shape[-1])
     return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
 
 
-def integrate_semiaxis(integrand, tol=1e-11):
-    """Weighted integral over (0, inf); see module docstring."""
-    alpha, f = integrand.alpha, integrand.smooth_part
-    unit_val, unit_err = integrate_unit_interval(f, alpha, 0.5 * tol)
-
-    def tail_g(x):
-        return x ** alpha * np.asarray(f(x), dtype=float)
-
-    tail_val, tail_err, prev_mag = 0.0, 0.0, np.inf
-    active = np.ones(np.shape(unit_val), dtype=bool)
+def _tail_rule(alpha, tol):
+    """Step generator of the Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau."""
+    tail_val, tail_err, prev_mag, active = 0.0, 0.0, np.inf, None
     a = 1.0
-    while a < 16384.0 and active.any():
+    while a < 16384.0 and (active is None or active.any()):
         b = 2.0 * a
-        hi, lo = _gl_rule(tail_g, a, b, _GL_HI), _gl_rule(tail_g, a, b, _GL_LO)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x_hi, x_lo = mid + half * _GL_HI[0], mid + half * _GL_LO[0]
+        v_hi, v_lo = yield [x_hi, x_lo]
+        hi = _gl_sum(half, _GL_HI[1], x_hi ** alpha * v_hi)
+        lo = _gl_sum(half, _GL_LO[1], x_lo ** alpha * v_lo)
+        del v_hi, v_lo      # the step's values must not outlive it
+        if active is None:
+            active = np.ones(np.shape(hi), dtype=bool)
         if not np.isfinite(hi[active]).all():
             raise QuadratureError(f"semiaxis panel [{a:g}, {b:g}] hit a non-finite integrand value")
         mag = abs(hi)
@@ -149,4 +179,52 @@ def integrate_semiaxis(integrand, tol=1e-11):
         a = b
     if active.any():
         raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
+    return tail_val, tail_err
+
+
+def _step_together(f, rules):
+    """Run step generators side by side, calling f once per step.
+
+    Each step concatenates the nodes that the running rules yield and
+    sends each rule f's values on its own nodes.  Returns the rules'
+    results in order.  A rule's ``QuadratureError`` is raised once no
+    earlier rule is running, so an earlier rule's error wins.
+    """
+    asks = {i: next(rule) for i, rule in enumerate(rules)}
+    results, failed = [None] * len(rules), {}
+    while asks:
+        x = np.concatenate([nodes for ask in asks.values() for nodes in ask])
+        vals = np.asarray(f(x), dtype=float)
+        vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
+        start = 0
+        for i, ask in list(asks.items()):
+            parts = []
+            for nodes in ask:
+                parts.append(vals[..., start:start + nodes.size])
+                start += nodes.size
+            try:
+                asks[i] = rules[i].send(parts)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del asks[i]
+            except QuadratureError as exc:
+                failed[i] = exc
+                del asks[i]
+        del vals, parts     # free this step's values before the next call of f
+        if failed and min(failed) < min(asks, default=len(rules)):
+            raise failed[min(failed)]
+    return results
+
+
+def integrate_unit_interval(f, lam, tol=1e-12):
+    """int_0^1 x^lam f(x) dx, lam > -1; f elementwise over node arrays."""
+    (result,) = _step_together(f, [_unit_rule(lam, tol)])
+    return result
+
+
+def integrate_semiaxis(integrand, tol=1e-11):
+    """Weighted integral over (0, inf); see module docstring."""
+    alpha, f = integrand.alpha, integrand.smooth_part
+    (unit_val, unit_err), (tail_val, tail_err) = _step_together(
+        f, [_unit_rule(alpha, 0.5 * tol), _tail_rule(alpha, tol)])
     return (unit_val + tail_val)[()], (unit_err + tail_err)[()]

@@ -111,3 +111,197 @@ def test_stacked_nan_entry_raises():
 
     with pytest.raises(QuadratureError):
         integrate_semiaxis(WeightedIntegrand(0.0, stacked), tol=1e-10)
+
+
+# -- the sequential rules as they ran before the stepped driver -------------
+# Each rule called f on its own, once per tanh-sinh branch and once per
+# Gauss-Legendre rule.  The stepped rules must return these values and
+# errors bit for bit.  Both references also return how far they ran: the
+# last tanh-sinh level and the number of tail panels.
+
+_REF_MAX_LEVEL = 11
+_REF_GL_HI = np.polynomial.legendre.leggauss(40)
+_REF_GL_LO = np.polynomial.legendre.leggauss(20)
+
+
+def _ref_ts_nodes(h, odd_only):
+    j = np.arange(1, int(np.floor(6.0 / h)) + 1)
+    if odd_only:
+        j = j[j % 2 == 1]
+    t = j * h
+    u = 0.5 * np.pi * np.sinh(t)
+    ln_x_pos = -np.log1p(np.exp(-2.0 * u))
+    ln_x_neg = -2.0 * u + ln_x_pos
+    ln_jac = np.log(0.25 * np.pi) + np.log(np.cosh(t)) + 2.0 * (np.log(2.0) - u - np.log1p(np.exp(-2.0 * u)))
+    return ln_x_pos, ln_x_neg, ln_jac
+
+
+def _ref_ts_sum(f, lam, h, odd_only):
+    ln_xp, ln_xn, ln_jac = _ref_ts_nodes(h, odd_only)
+    total = 0.0
+    for ln_x in (ln_xp, ln_xn):
+        x = np.exp(ln_x)
+        w = np.exp(lam * ln_x + ln_jac)
+        vals = w * np.asarray(f(x), dtype=float)
+        total += np.sum(vals, axis=-1)
+    return total
+
+
+def _ref_unit(f, lam, tol):
+    h = 0.5
+    f_half = (np.asarray(f(np.array([0.5])), dtype=float) * np.ones(1))[..., 0]
+    center = 0.5 ** lam * f_half * 0.25 * np.pi
+    acc = center + _ref_ts_sum(f, lam, h, odd_only=False)
+    value = h * acc
+    err = np.full(np.shape(value), np.inf)
+    active = np.ones(np.shape(value), dtype=bool)
+    level = 0
+    for level in range(1, _REF_MAX_LEVEL + 1):
+        if not active.any():
+            level -= 1
+            break
+        h *= 0.5
+        acc = acc + _ref_ts_sum(f, lam, h, odd_only=True)
+        new_value = h * acc
+        if not np.isfinite(new_value[active]).all():
+            raise QuadratureError("unit-interval rule hit a non-finite integrand value")
+        delta = abs(new_value - value)
+        floor = 1e-16 * abs(new_value)
+        done = active & (delta <= np.maximum(tol, floor)) & (err < np.inf)
+        value = np.where(active, new_value, value)
+        err = np.where(done, np.maximum(delta, floor), np.where(active, delta, err))
+        active &= ~done
+    if np.any(active & (err > np.maximum(tol * 100.0, 1e-13 * abs(value)))):
+        raise QuadratureError(f"unit-interval rule stalled at error ~{np.max(err[active]):.2e}")
+    return value[()], err[()], level
+
+
+def _ref_gl_rule(g, a, b, rule):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    xi, w = rule
+    vals = np.asarray(g(mid + half * xi), dtype=float)
+    rows = vals.reshape(-1, vals.shape[-1])
+    return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
+
+
+def _ref_semiaxis(alpha, f, tol):
+    unit_val, unit_err, level = _ref_unit(f, alpha, 0.5 * tol)
+
+    def tail_g(x):
+        return x ** alpha * np.asarray(f(x), dtype=float)
+
+    tail_val, tail_err, prev_mag, panels = 0.0, 0.0, np.inf, 0
+    active = np.ones(np.shape(unit_val), dtype=bool)
+    a = 1.0
+    while a < 16384.0 and active.any():
+        b = 2.0 * a
+        hi, lo = _ref_gl_rule(tail_g, a, b, _REF_GL_HI), _ref_gl_rule(tail_g, a, b, _REF_GL_LO)
+        panels += 1
+        if not np.isfinite(hi[active]).all():
+            raise QuadratureError(f"semiaxis panel [{a:g}, {b:g}] hit a non-finite integrand value")
+        mag = abs(hi)
+        done = active & (mag < 0.01 * tol) & (mag < prev_mag)
+        ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
+        bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
+        tail_val = np.where(active, tail_val + hi, tail_val)
+        tail_err = np.where(active, tail_err + abs(hi - lo) + bound, tail_err)
+        active &= ~done
+        prev_mag = np.where(mag > 0.0, mag, prev_mag)
+        a = b
+    if active.any():
+        raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
+    return (unit_val + tail_val)[()], (unit_err + tail_err)[()], level, panels
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _same_bits(got, want):
+    return all(np.shape(g) == np.shape(w) and np.array_equal(_bits(g), _bits(w))
+               for g, w in zip(got, want))
+
+
+# at tol 1e-9 a smooth entry stops at a middle level, the kink at 1/3 runs
+# to the last level, the zero entry stops at level 2, the first level that
+# can stop, and the oscillating entry's tail runs longer than its unit rule
+_TOL = 1e-9
+_ENTRIES = {"smooth": lambda t: np.exp(-t) / (1.0 + 100.0 * (t - 0.4) ** 2),
+            "kink": lambda t: np.abs(t - 1.0 / 3.0) * np.exp(-t),
+            "zero": lambda t: 0.0 * t,
+            "oscillating": lambda t: np.exp(-t) * np.cos(20.0 * t)}
+
+
+def _stacked(t):
+    return np.stack([f(t) for f in _ENTRIES.values()])
+
+
+_INTEGRANDS = dict(_ENTRIES, stacked=_stacked, constant=lambda t: 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_reference_covers_every_stopping_level(alpha):
+    levels = {name: _ref_unit(f, alpha, _TOL)[2] for name, f in _ENTRIES.items()}
+    assert 2 < levels["smooth"] < _REF_MAX_LEVEL
+    assert (levels["kink"], levels["zero"]) == (_REF_MAX_LEVEL, 2)
+    _, _, level, panels = _ref_semiaxis(alpha, _ENTRIES["oscillating"], _TOL)
+    assert panels - 1 > 2 * (level - 2)
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_stepped_rules_keep_every_bit(name, alpha):
+    f = _INTEGRANDS[name]
+    got = integrate_unit_interval(f, alpha, _TOL)
+    assert _same_bits(got, _ref_unit(f, alpha, _TOL)[:2])
+    got = integrate_semiaxis(WeightedIntegrand(alpha, f), _TOL)
+    assert _same_bits(got, _ref_semiaxis(alpha, f, _TOL)[:2])
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_one_integrand_call_per_step(name, alpha):
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return _INTEGRANDS[name](t)
+
+    _, _, level, panels = _ref_semiaxis(alpha, _INTEGRANDS[name], _TOL)
+    integrate_semiaxis(WeightedIntegrand(alpha, counted), _TOL)
+    assert len(calls) <= 1 + max(2 * (level - 2), panels - 1)
+    calls.clear()
+    integrate_unit_interval(counted, alpha, _TOL)
+    assert len(calls) <= 1 + 2 * (_ref_unit(_INTEGRANDS[name], alpha, _TOL)[2] - 2)
+
+
+def _kink_unit_then(tail):
+    # the kink makes the unit rule stall at tol 1e-14; tail(t) takes over at t >= 1
+    def f(t):
+        return np.where(t < 1.0, np.abs(t - 1.0 / 3.0), tail(t))
+    return f
+
+
+@pytest.mark.parametrize("tail", [lambda t: np.where(t > 2.0, np.nan, 1.0),
+                                  lambda t: np.ones_like(t)])
+def test_unit_failure_wins_over_tail_failure(tail):
+    f = _kink_unit_then(tail)
+    with pytest.raises(QuadratureError, match="unit-interval rule stalled") as caught:
+        integrate_semiaxis(WeightedIntegrand(0.0, f), 1e-14)
+    with pytest.raises(QuadratureError) as want:
+        _ref_semiaxis(0.0, f, 1e-14)
+    assert str(caught.value) == str(want.value)
+
+
+@pytest.mark.parametrize("f,message", [
+    (lambda t: np.where(t > 2.0, np.nan, np.exp(-t)),
+     "semiaxis panel [2, 4] hit a non-finite integrand value"),
+    (lambda t: np.ones_like(t),
+     "semiaxis tail did not decay below tolerance by tau = 16384"),
+    (lambda t: np.where(t < 0.5, np.nan, np.exp(-t)),
+     "unit-interval rule hit a non-finite integrand value"),
+])
+def test_failure_messages(f, message):
+    with pytest.raises(QuadratureError) as caught:
+        integrate_semiaxis(WeightedIntegrand(0.0, f), 1e-10)
+    assert str(caught.value) == message

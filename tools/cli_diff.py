@@ -2,9 +2,12 @@
 
     python3 tools/cli_diff.py OLD_TREE NEW_TREE
 
-Runs 27 ``stress``, 18 ``asympt``, 3 ``energy`` requests and ``selftest`` with each
-tree's ``src`` on PYTHONPATH, two requests at a time.  Per request it prints
-"byte-identical" or each changed cell ([row key] column: old -> new |delta|, keyed by
+Runs 27 ``stress``, 18 ``asympt``, 3 ``energy`` requests, ``selftest`` and 3 requests
+that fail (one quadrature failure, exit 3, and two rejected inputs, exit 2) with each
+tree's ``src`` on PYTHONPATH, two requests at a time.  Of stderr only the final line
+counts, the JSON error record of a failed request; the warnings before it may come in
+any order.  Per request it prints "byte-identical" or a changed exit code or error
+record and each changed cell ([row key] column: old -> new |delta|, keyed by
 the kind, r_power, has_log, r, d and criterion cells), added (+) and removed (-) rows
 and notes.  The summary gives the largest |delta| of any numeric cell and, on its own
 line, of the cells whose old and new |value| both exceed 1e-12.  Stdlib only.
@@ -27,14 +30,18 @@ def requests():
               "--kappa-over-k", "1.7"] for d, c, xi in stress]
             + [["asympt", "--d", d, "--part", p, "--component", c, "--xi", "0.2",
                 "--r", "4.5", "11", "2"] for d, p, c in asympt]
-            + [["energy", "--d", d] for d in "123"] + [["selftest"]])
+            + [["energy", "--d", d] for d in "123"] + [["selftest"]]
+            + [["stress", "--d", "3", "--component", "tt", "--tol", "1e-300", "--r", "0", "5", "2"],
+               ["stress", "--d", "1", "--r", "0", "nan", "11"],
+               ["asympt", "--d", "2", "--r", "0", "5", "3"]])
 
 
 def run(tree, argv):
+    """(exit code, stdout, the final line of stderr)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-m", "casimir_harmonic.cli"] + argv,
                           env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, (proc.stderr.splitlines() or [""])[-1]
 
 
 def parse(text):
@@ -65,6 +72,8 @@ def compare(old, new):
     lines, worst, worst_big = [], 0.0, 0.0
     if old[0] != new[0]:
         lines.append("exit code %d -> %d" % (old[0], new[0]))
+    if old[2] != new[2] and (old[0] or new[0]):
+        lines.append("error record %s -> %s" % (old[2], new[2]))
     (old_rows, old_notes), (new_rows, new_notes) = parse(old[1]), parse(new[1])
     for key in sorted(old_rows.keys() | new_rows.keys()):
         a, b = old_rows.get(key), new_rows.get(key)
@@ -81,7 +90,7 @@ def compare(old, new):
                     key, column, cell, b.get(column), "-" if d is None else "%.3g" % d[0]))
     lines += ["- " + n for n in old_notes if n not in new_notes]
     lines += ["+ " + n for n in new_notes if n not in old_notes]
-    return (lines or (["output differs outside rows and notes"] if old != new else []),
+    return (lines or (["output differs outside rows and notes"] if old[1] != new[1] else []),
             worst, worst_big)
 
 
