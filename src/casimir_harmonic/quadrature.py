@@ -195,7 +195,8 @@ def _step_together(f, rules):
     while asks:
         x = np.concatenate([nodes for ask in asks.values() for nodes in ask])
         vals = np.asarray(f(x), dtype=float)
-        vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
+        if vals.shape[-1:] != x.shape:      # a scalar f is constant along the nodes
+            vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
         start = 0
         for i, ask in list(asks.items()):
             parts = []
