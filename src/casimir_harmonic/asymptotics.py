@@ -165,7 +165,7 @@ class VChartFamily:
             (self.d, self.comp, self.xi) == (other.d, other.comp, other.xi)
 
     def __hash__(self):
-        return hash((self.d, self.comp, self.xi))
+        return hash((self.d, self.comp))     # xi may be an unhashable 0-d array
 
     def jets(self, v_jet):
         basis = HyperbolicJets.from_tanh(v_jet)

@@ -276,3 +276,31 @@ def test_match_slopes_of_a_vanishing_profile_are_nan():
                                      "theta1theta1_reduced", "square", radii)
     assert not report["vanishes"]
     assert all(math.isfinite(s) for s in report["slopes"])
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_asympt_request_integrates_the_large_r_tail_once(d, monkeypatch):
+    # the match report's depth differs from the default in d = 2 and equals it
+    # in d = 1; either way the depth-free tail integrals are computed once
+    import casimir_harmonic.asymptotics as asymptotics
+    from casimir_harmonic import cli
+
+    calls = []
+    original = asymptotics.integrate_unit_interval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "integrate_unit_interval", counted)
+    asymptotics._large_r_constants.cache_clear()
+    asymptotics._tail_integrals.cache_clear()
+    assert cli.main(["asympt", "--d", d, "--part", "diamond", "--r", "5", "10", "2"]) == 0
+    assert len(calls) == 1
+
+
+def test_large_r_expansion_takes_a_0d_array_coupling():
+    _, got = large_r_expansion(VChartFamily(2, "rr", np.array(0.125)))
+    _, want = large_r_expansion(VChartFamily(2, "rr", 0.125))
+    assert [(r.r_power, r.has_log, r.coefficient) for r in got.rows] == \
+        [(r.r_power, r.has_log, r.coefficient) for r in want.rows]
