@@ -23,7 +23,7 @@ import numpy as np
 from .continuation import p_constants, p_from_ladder, u_affine_ladder, weight_exponent
 from .jets import Jet, jet_lift_and_compose as lift
 from .kernels import COMPONENTS, HyperbolicJets, part_coupling
-from .quadrature import WeightedIntegrand, integrate_semiaxis, integrate_unit_interval
+from .quadrature import integrate_semiaxis, integrate_unit_interval
 from .specfun import digamma, g_log_gamma, gamma, lower_gamma, upper_gamma
 from .stress import stress_profiles
 
@@ -103,7 +103,7 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
             rows += [ln * (c_log[j] * th ** (i - j)) for i, j in terms]
         return np.array(rows)
 
-    values, errors = integrate_semiaxis(WeightedIntegrand(lam, moments), tol)
+    values, errors = integrate_semiaxis(moments, lam, tol)
     acc, acc_err, acc_size = ([0.0] * (n_terms + 1) for _ in range(3))
     for m, (i, j) in enumerate(terms):
         sign = (-1.0) ** (i - j) / math.factorial(i - j)
@@ -123,7 +123,7 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
         th = np.tanh(t)
         return np.array([np.abs(m[i]) * th ** (big_n + 1 - i) for i in kept])
 
-    values, errors = integrate_semiaxis(WeightedIntegrand(lam, abs_moments), 1e-8)
+    values, errors = integrate_semiaxis(abs_moments, lam, 1e-8)
     c_rem = 0.0
     for i, v, e in zip(kept, values, errors):
         c_rem += (v + e) / math.factorial(big_n + 1 - i)

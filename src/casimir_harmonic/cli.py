@@ -33,8 +33,7 @@ from .asymptotics import (VChartFamily,
                           small_r_expansion)
 from .continuation import build_P_polynomials, renorm_scale_constant
 from .energy import (In_quadrature, In_zeta, boundary_energy_scan,
-                     bulk_energy_quadrature, bulk_energy_zeta,
-                     spectral_trace_oracle)
+                     bulk_energy_quadrature, bulk_energy_zeta)
 from .kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig, heat_trace,
                       mehler_kernel_1d, part_coupling, xi_conformal)
 from .quadrature import QuadratureError
@@ -771,7 +770,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        # a non-finite value becomes a QuadratureError and its record below;
+        # numpy's floating-point warnings would only precede that record
+        with np.errstate(all="ignore"):
+            return _RUNNERS[args.command](args)
     except (ValidationFailure, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "exit_code": 2}) + "\n")
         return 2

@@ -92,7 +92,7 @@ def conjugated_ladder(basis, poly, n):
                 term = basis.deriv(cur[i])
             if i > 0:
                 prod = hp * cur[i - 1]
-                down = Jet(prod.base_point, prod.coeffs[: new_order + 1] * (-1.0))
+                down = Jet(prod.coeffs[: new_order + 1] * (-1.0))
                 term = down if term is None else term + down
             nxt.append(term)
         cur = nxt
@@ -196,7 +196,7 @@ def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
     a_main, a_slope, b_main, n = p_constants(d, n, pipeline)
 
     def coeffs(tau_nodes):
-        basis = HyperbolicJets.from_tau(Jet.variable(tau_nodes, n))
+        basis = HyperbolicJets.from_tau(tau_nodes, n)
         main, slope = u_affine_ladder(basis, d, comp, xi, n)
         shape = np.shape(tau_nodes)
         return np.array([[np.broadcast_to(row.value(), shape) for row in rows]

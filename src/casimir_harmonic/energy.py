@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, derivative, jet_lift_and_compose, sinhc_jet
-from .quadrature import WeightedIntegrand, integrate_semiaxis
+from .jets import derivative, jet_lift_and_compose, sinhc_jet
+from .quadrature import integrate_semiaxis
 from .specfun import gamma, riemann_zeta
 
 
@@ -42,7 +42,7 @@ def _sinh_ratio_deriv(d, n):
     """Vectorized n-th tau-derivative of (tau/sinh tau)^d."""
     def smooth(tau):
         tau = np.asarray(tau, dtype=float)
-        core = jet_lift_and_compose("reciprocal", sinhc_jet(Jet.variable(tau, n))) ** d
+        core = jet_lift_and_compose("reciprocal", sinhc_jet(tau, n)) ** d
         return derivative(core, n)
     return smooth
 
@@ -66,8 +66,7 @@ def bulk_energy_quadrature(d, n=None, tol=1e-10):
     pref = -1.0 / (2.0 ** (d + 2 - n) * math.sqrt(math.pi))
     for i in range(n):
         pref /= 2.0 * (d - i) + 1.0
-    value, err = integrate_semiaxis(
-        WeightedIntegrand(n - d - 1.5, _sinh_ratio_deriv(d, n)), tol)
+    value, err = integrate_semiaxis(_sinh_ratio_deriv(d, n), n - d - 1.5, tol)
     return EnergyResult(pref * value, "quadrature", abs(pref) * err)
 
 
@@ -96,7 +95,7 @@ def In_quadrature(n, s, tol=1e-11):
     def smooth(tau):
         return _x_over_sinh(np.asarray(tau, dtype=float)) ** n
 
-    value, _ = integrate_semiaxis(WeightedIntegrand(s - 1.0 - n, smooth), tol)
+    value, _ = integrate_semiaxis(smooth, s - 1.0 - n, tol)
     return value
 
 
@@ -221,5 +220,5 @@ def boundary_energy_scan(d, u, ell_values, tol=1e-10):
                 * _x_over_sinh(2.0 * tau) ** (0.5 * d)
                 * np.exp(-ell * ell * np.tanh(tau)))
 
-    values, _ = integrate_semiaxis(WeightedIntegrand(lam, smooth), tol)
+    values, _ = integrate_semiaxis(smooth, lam, tol)
     return list(values)

@@ -1,7 +1,8 @@
 """Truncated Taylor-jet arithmetic.
 
 A ``Jet`` stores the Taylor coefficients (not derivatives) of a function
-about ``base_point`` up to a chosen order.  ``coeffs[m]`` may be a scalar
+of one variable up to a chosen order; the base point is the value of the
+variable jet the function was built from.  ``coeffs[m]`` may be a scalar
 or an ndarray, so a single jet can carry the expansion at a whole grid of
 base points at once; all operations broadcast over that trailing shape.
 
@@ -29,11 +30,10 @@ import numpy as np
 
 
 class Jet:
-    __slots__ = ("base_point", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, base_point, coeffs):
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        self.base_point = base_point
         self.coeffs = coeffs
         self.order = coeffs.shape[0] - 1
 
@@ -47,14 +47,14 @@ class Jet:
         coeffs[0] = base
         if order >= 1:
             coeffs[1] = 1.0
-        return Jet(base_point, coeffs)
+        return Jet(coeffs)
 
     @staticmethod
-    def const(value, order, base_point=0.0):
+    def const(value, order):
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros((order + 1,) + value.shape)
         coeffs[0] = value
-        return Jet(base_point, coeffs)
+        return Jet(coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -65,15 +65,15 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b, k = self._aligned(other)
-            return Jet(self.base_point, a + b)
+            return Jet(a + b)
         c = self.coeffs.copy()
         c[0] = c[0] + other
-        return Jet(self.base_point, c)
+        return Jet(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.base_point, -self.coeffs)
+        return Jet(-self.coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
@@ -93,15 +93,15 @@ class Jet:
             out = a[0] * b + 0.0
             for j in range(1, k + 1):
                 out[j:] += a[j] * b[: k + 1 - j]
-            return Jet(self.base_point, out)
-        return Jet(self.base_point, self.coeffs * other)
+            return Jet(out)
+        return Jet(self.coeffs * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * jet_lift_and_compose("reciprocal", other)
-        return Jet(self.base_point, self.coeffs / other)
+        return Jet(self.coeffs / other)
 
     def __rtruediv__(self, other):
         return jet_lift_and_compose("reciprocal", self) * other
@@ -121,13 +121,14 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         m = np.arange(1, self.order + 1).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        return Jet(self.base_point, self.coeffs[1:] * m)
+        return Jet(self.coeffs[1:] * m)
 
     def divide_by_increment(self):
-        """Divide by (x - base_point); requires a vanishing constant term."""
+        """Divide by the increment of the variable; requires a vanishing
+        constant term."""
         if np.any(np.abs(self.coeffs[0]) > 1e-14):
             raise ValueError("divide_by_increment needs coeffs[0] == 0")
-        return Jet(self.base_point, self.coeffs[1:].copy())
+        return Jet(self.coeffs[1:].copy())
 
     def value(self):
         return self.coeffs[0]
@@ -219,18 +220,6 @@ def _lift_sinh_cosh(a):
     return sc[0], sc[1]
 
 
-def _compose_about_value(inner, fcoeffs):
-    """Jet of f composed with inner, given f's Taylor coeffs at inner's value."""
-    k = inner.order
-    dxc = inner.coeffs.copy()
-    dxc[0] = np.zeros_like(dxc[0])
-    dx = Jet(inner.base_point, dxc)
-    out = Jet.const(fcoeffs[k], k, inner.base_point)
-    for m in range(k - 1, -1, -1):
-        out = out * dx + fcoeffs[m]
-    return out
-
-
 _SINHC_TERMS = 35
 
 
@@ -269,8 +258,9 @@ def _sinhc_series(t, order, scale):
     return fc
 
 
-def sinhc_jet(inner, scale=1.0):
-    """Jet of sinh(s*t)/(s*t) as a function of t, elementwise stable.
+def sinhc_jet(t, order, scale=1.0):
+    """Jet of sinh(s*t)/(s*t) in the variable t at the nodes t, elementwise
+    stable.
 
     Dividing a sinh jet by the variable goes through intermediate
     coefficients of size ~ 1/t^m, which overflow at the double-
@@ -279,28 +269,21 @@ def sinhc_jet(inner, scale=1.0):
     itself is used instead.  Each branch runs only on the nodes that take
     it, and the two are scattered back into place.
     """
-    coeffs = inner.coeffs
-    small = np.abs(scale * coeffs[0]) < 1.0
+    t = np.asarray(t, dtype=float)
+    small = np.abs(scale * t) < 1.0
     if small.all():
-        out = _sinhc_small(inner, scale)
-    elif not small.any():
-        out = _sinhc_large(inner, scale)
-    else:
-        out = np.empty(coeffs.shape)
-        out[:, small] = _sinhc_small(Jet(inner.base_point, coeffs[:, small]), scale)
-        out[:, ~small] = _sinhc_large(Jet(inner.base_point, coeffs[:, ~small]), scale)
-    return Jet(inner.base_point, out)
+        return Jet(_sinhc_series(t, order, scale))
+    if not small.any():
+        return Jet(_sinhc_large(t, order, scale))
+    out = np.empty((order + 1,) + t.shape)
+    out[:, small] = _sinhc_series(t[small], order, scale)
+    out[:, ~small] = _sinhc_large(t[~small], order, scale)
+    return Jet(out)
 
 
-def _sinhc_small(inner, scale):
-    """Coefficients of sinhc_jet from the series, for nodes with |s*t| < 1."""
-    fc = _sinhc_series(inner.coeffs[0], inner.order, scale)
-    return _compose_about_value(inner, fc).coeffs
-
-
-def _sinhc_large(inner, scale):
+def _sinhc_large(t, order, scale):
     """Coefficients of sinhc_jet as sinh(u) * (1/u), u = s*t, for |s*t| >= 1."""
-    u = inner * scale
+    u = Jet.variable(t, order) * scale
     return (jet_lift_and_compose("sinh", u) * jet_lift_and_compose("reciprocal", u)).coeffs
 
 
@@ -312,21 +295,21 @@ def jet_lift_and_compose(tag, inner, exponent=None):
     """
     a = inner.coeffs
     if tag == "exp":
-        return Jet(inner.base_point, _lift_exp(a))
+        return Jet(_lift_exp(a))
     if tag == "log":
-        return Jet(inner.base_point, _lift_log(a))
+        return Jet(_lift_log(a))
     if tag == "pow":
         if exponent is None:
             raise ValueError("pow lift needs an exponent")
-        return Jet(inner.base_point, _lift_pow(a, exponent))
+        return Jet(_lift_pow(a, exponent))
     if tag == "sqrt":
-        return Jet(inner.base_point, _lift_pow(a, 0.5))
+        return Jet(_lift_pow(a, 0.5))
     if tag == "reciprocal":
-        return Jet(inner.base_point, _lift_reciprocal(a))
+        return Jet(_lift_reciprocal(a))
     if tag == "sinh":
-        return Jet(inner.base_point, _lift_sinh_cosh(a)[0])
+        return Jet(_lift_sinh_cosh(a)[0])
     if tag == "cosh":
-        return Jet(inner.base_point, _lift_sinh_cosh(a)[1])
+        return Jet(_lift_sinh_cosh(a)[1])
     if tag == "tanh":
         # tanh(x) = sgn * (1 - E)/(1 + E), E = exp(-2 sgn x): the argument of
         # exp is kept non-positive so huge base points underflow gracefully.

@@ -82,8 +82,8 @@ def heat_trace(tau, d):
 class HyperbolicJets:
     """The hyperbolic building blocks as jets, in either of two charts.
 
-    from_tau: jets in tau at positive base points; the covariant derivative
-    is plain d/dtau.  from_tanh: jets in v = tanh(tau); d/dtau becomes
+    from_tau: jets in tau at positive nodes; the covariant derivative is
+    plain d/dtau.  from_tanh: jets in v = tanh(tau); d/dtau becomes
     (1 - v^2) d/dv. The same bracket-assembly code runs in both charts.
     """
 
@@ -96,16 +96,19 @@ class HyperbolicJets:
         self.deriv = deriv            # jet -> jet, one order lower
 
     @staticmethod
-    def from_tau(tau_jet):
-        two_tau = tau_jet * 2.0
-        th = lift("tanh", tau_jet)
-        ratio = lift("reciprocal", sinhc_jet(tau_jet, 2.0))
-        cosh2 = lift("cosh", two_tau)
-        # sech^2 in exponential form: 1 - tanh^2 cancels to exactly zero
-        # past tau ~ 19 yet is multiplied by cosh(2 tau) in the brackets.
-        sgn = np.where(np.asarray(tau_jet.coeffs[0]) >= 0.0, 1.0, -1.0)
+    def from_tau(tau, order):
+        """The tau chart at the nodes tau, to the given order."""
+        tau_jet = Jet.variable(tau, order)
+        ratio = lift("reciprocal", sinhc_jet(tau, order, 2.0))
+        cosh2 = lift("cosh", tau_jet * 2.0)
+        # tanh and sech^2 from one E = exp(-2 sgn tau) and R = 1/(1 + E):
+        # tanh = sgn (1 - E) R as the tanh lift forms it, and sech^2 = 4 E R^2
+        # in exponential form, since 1 - tanh^2 cancels to exactly zero past
+        # tau ~ 19 yet is multiplied by cosh(2 tau) in the brackets.
+        sgn = np.where(np.asarray(tau) >= 0.0, 1.0, -1.0)
         e = lift("exp", tau_jet * (-2.0 * sgn))
         rec = lift("reciprocal", 1.0 + e)
+        th = (1.0 - e) * rec * sgn
         inv_cosh2 = 4.0 * e * rec * rec
         return HyperbolicJets(tau_jet, th, ratio, cosh2, inv_cosh2,
                               lambda j: j.derivative_jet())
@@ -123,7 +126,7 @@ class HyperbolicJets:
         cosh2 = (1.0 + vsq) / one_minus
         def deriv(j):
             dj = j.derivative_jet()
-            scale = Jet(v_jet.base_point, v_jet.coeffs[: dj.order + 1].copy())
+            scale = Jet(v_jet.coeffs[: dj.order + 1].copy())
             return dj * (1.0 - scale * scale)
         return HyperbolicJets(tau, v_jet, ratio, cosh2, one_minus, deriv)
 

@@ -8,11 +8,11 @@ Two entry points:
   integrable endpoint blow-ups of f itself are also absorbed by the
   double-exponential clustering.
 
-* ``integrate_semiaxis(WeightedIntegrand, tol)`` -- int_0^inf
-  tau^alpha f(tau) dtau, split at tau = 1: the unit piece goes through the
-  tanh-sinh rule at 0.5 * tol, the tail through Gauss-Legendre panels on
-  doubling intervals [1,2], [2,4], ... truncated once the panel bound drops
-  below the tolerance.
+* ``integrate_semiaxis(f, alpha, tol)`` -- int_0^inf tau^alpha f(tau) dtau
+  (alpha > -1), split at tau = 1: the unit piece goes through the tanh-sinh
+  rule at 0.5 * tol, the tail through Gauss-Legendre panels on doubling
+  intervals [1,2], [2,4], ... truncated once the panel bound drops below
+  the tolerance.
 
 f is elementwise along the node axis: its value at a node depends on that
 node alone, whatever other nodes share the call.  Every integrand in the
@@ -45,24 +45,11 @@ Both return ``(value, err_estimate)`` with a deliberately conservative
 estimate (observed true error stays below it on the golden integrals).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class QuadratureError(RuntimeError):
     """Raised when a rule fails to reach the requested tolerance."""
-
-
-@dataclass
-class WeightedIntegrand:
-    """tau^alpha * smooth_part(tau) on (0, inf)."""
-    alpha: float
-    smooth_part: object
-
-    def __post_init__(self):
-        if self.alpha <= -1.0:
-            raise ValueError("weight exponent must satisfy alpha > -1")
 
 
 _TMAX = 6.0  # tanh-sinh truncation; keeps |2u| < 700 so nothing underflows
@@ -223,9 +210,8 @@ def integrate_unit_interval(f, lam, tol=1e-12):
     return result
 
 
-def integrate_semiaxis(integrand, tol=1e-11):
-    """Weighted integral over (0, inf); see module docstring."""
-    alpha, f = integrand.alpha, integrand.smooth_part
+def integrate_semiaxis(integrand, alpha, tol=1e-11):
+    """int_0^inf tau^alpha integrand(tau) dtau, alpha > -1; see module docstring."""
     (unit_val, unit_err), (tail_val, tail_err) = _step_together(
-        f, [_unit_rule(alpha, 0.5 * tol), _tail_rule(alpha, tol)])
+        integrand, [_unit_rule(alpha, 0.5 * tol), _tail_rule(alpha, tol)])
     return (unit_val + tail_val)[()], (unit_err + tail_err)[()]

@@ -202,23 +202,23 @@ def g_log_gamma(s, z):
             if abs(c) * (1.0 + hsum) < 1e-17 * (abs(total_ch) + abs(total_c)) or k > 500:
                 break
         return math.exp(s * lz - z) * (lz * total_c - total_ch)
-    from .quadrature import WeightedIntegrand, integrate_semiaxis
+    from .quadrature import integrate_semiaxis
     import numpy as np
 
     def tail_smooth(t):
         w = z + t
         return np.exp((s - 1.0) * np.log(w) - w) * np.log(w)
 
-    tail, _ = integrate_semiaxis(WeightedIntegrand(0.0, tail_smooth), 1e-13)
+    tail, _ = integrate_semiaxis(tail_smooth, 0.0, 1e-13)
     return gamma(s) * digamma(s) - tail
 
 
-def _zeta_em(s, a, n_terms=None, k_max=12):
-    """Euler-Maclaurin Hurwitz zeta(s, a); valid for s > 1 - 2*k_max, s != 1."""
-    if n_terms is None:
-        # For s < 0 the head terms grow like (n+a)^|s| and cancel against
-        # the integral term; a short head keeps that cancellation mild.
-        n_terms = 25 if s >= 0.0 else 8
+def _zeta_em(s, a):
+    """Euler-Maclaurin Hurwitz zeta(s, a) with the 12 corrections B_2..B_24;
+    valid for s > -23, s != 1."""
+    # For s < 0 the head terms grow like (n+a)^|s| and cancel against the
+    # integral term; a short head keeps that cancellation mild.
+    n_terms = 25 if s >= 0.0 else 8
     pieces = [(n + a) ** (-s) for n in range(n_terms)]
     na = n_terms + a
     pieces.append(na ** (1.0 - s) / (s - 1.0))
@@ -226,10 +226,10 @@ def _zeta_em(s, a, n_terms=None, k_max=12):
     # correction sum: B_2k / (2k)! * s(s+1)...(s+2k-2) * na^(-s-2k+1)
     poch = 1.0
     fact = 1.0
-    for k in range(1, k_max + 1):
+    for k, bernoulli in enumerate(_BERNOULLI_EVEN, 1):
         poch *= (s + 2 * k - 3) * (s + 2 * k - 2) if k > 1 else s
         fact *= (2 * k - 1) * (2 * k)
-        pieces.append(_BERNOULLI_EVEN[k - 1] / fact * poch
+        pieces.append(bernoulli / fact * poch
                       * na ** (-s - 2 * k + 1.0))
     return math.fsum(pieces)
 

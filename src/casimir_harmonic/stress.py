@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuation import build_P_polynomials, renorm_scale_constant
 from .kernels import COMPONENTS, part_coupling
-from .quadrature import WeightedIntegrand, integrate_semiaxis
+from .quadrature import integrate_semiaxis
 
 
 @dataclass
@@ -56,7 +56,7 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None
         p0, p1 = np.exp(-r_col * r_col * np.tanh(tau_nodes)) * poly.values(tau_nodes, r)
         return np.stack([p0, np.log(tau_nodes) * p1, p1])
 
-    t0, t0_log, t1 = integrate_semiaxis(WeightedIntegrand(poly.lam, smooth), tol / 3.0)[0]
+    t0, t0_log, t1 = integrate_semiaxis(smooth, poly.lam, tol / 3.0)[0]
     return t0 + t0_log, t1
 
 

@@ -1,6 +1,6 @@
-"""Golden acceptance checks, one test per criterion.
+"""Golden acceptance checks, one case per criterion, ``c01`` to ``c11``.
 
-Each test calls the same runner the ``selftest`` CLI subcommand uses and
+Each case calls the same runner the ``selftest`` CLI subcommand uses and
 prints a single PASS/FAIL line (visible with ``pytest -s`` or on failure).
 
 Criteria 4 and 7 rest on the independent multiprecision oracle
@@ -23,54 +23,11 @@ import pytest
 from casimir_harmonic.cli import CRITERIA, run_criterion
 
 
-def _check(index):
+@pytest.mark.parametrize("index", sorted(CRITERIA), ids="c{:02d}".format)
+def test_criterion(index):
     ok, line = run_criterion(index)
     print("criterion_%02d %s: %s" % (index, "PASS" if ok else "FAIL", line))
     assert ok, line
-
-
-def test_c01_bulk_energy_quadrature():
-    _check(1)
-
-
-def test_c02_bulk_energy_closed_forms():
-    _check(2)
-
-
-def test_c03_pipeline_cross_agreement():
-    _check(3)
-
-
-def test_c04_small_r_coefficient_tables():
-    _check(4)
-
-
-def test_c05_stress_profile_pins():
-    _check(5)
-
-
-def test_c06_conformal_split_reconstruction():
-    _check(6)
-
-
-def test_c07_large_r_decay_slopes():
-    _check(7)
-
-
-def test_c08_scale_constant_and_even_d():
-    _check(8)
-
-
-def test_c09_special_function_pins():
-    _check(9)
-
-
-def test_c10_spectral_oracle():
-    _check(10)
-
-
-def test_c11_boundary_term_decay():
-    _check(11)
 
 
 def test_criteria_table_is_complete():

@@ -5,6 +5,7 @@ the tests see the real exit codes and the exact bytes on stdout/stderr.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -174,6 +175,18 @@ def test_nonfinite_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["exit_code"] == 2
+
+
+def test_quadrature_failure_writes_only_its_error_record(capsys):
+    # the non-finite values that make the quadrature fail would warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "stress", "--d", "3", "--component", "tt",
+                             "--tol", "1e-300", "--r", "0", "5", "2")
+    assert code == 3
+    assert out == ""
+    assert err == json.dumps({"error": "semiaxis panel [256, 512] hit a non-finite "
+                                       "integrand value", "exit_code": 3}) + "\n"
 
 
 def test_d1_angular_component_carries_a_note(capsys):

@@ -13,7 +13,7 @@ from casimir_harmonic.energy import In_quadrature, In_zeta
 from casimir_harmonic.jets import (Jet, derivative, jet_lift_and_compose,
                                    sinhc_jet)
 from casimir_harmonic.kernels import COMPONENTS, HyperbolicJets
-from casimir_harmonic.quadrature import WeightedIntegrand, integrate_semiaxis
+from casimir_harmonic.quadrature import integrate_semiaxis
 from casimir_harmonic.specfun import EULER_GAMMA, gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -37,7 +37,7 @@ def ibp_mellin(H, rho, n, sigma, tol=1e-11):
         return derivative(H(Jet.variable(t, n)), n)
 
     alpha = sigma - rho + n - 1.0
-    value, err = integrate_semiaxis(WeightedIntegrand(alpha, smooth), tol)
+    value, err = integrate_semiaxis(smooth, alpha, tol)
     return (-1.0) ** n / denom * value, abs(err / denom)
 
 
@@ -46,9 +46,11 @@ def _exp_decay(j):
 
 
 def _tau_over_sinh_pow(d):
-    # (t / sinh t)^d / 2^d as a jet map: smooth at zero, decaying
+    # (t / sinh t)^d / 2^d as a jet map: smooth at zero, decaying; j is the
+    # variable jet that ibp_mellin passes
     def h(j):
-        return jet_lift_and_compose("reciprocal", sinhc_jet(j)) ** d * 2.0 ** (-d)
+        sinhc = sinhc_jet(j.value(), j.order)
+        return jet_lift_and_compose("reciprocal", sinhc) ** d * 2.0 ** (-d)
     return h
 
 
@@ -171,7 +173,7 @@ def test_conjugated_ladder_single_step():
     from casimir_harmonic.continuation import conjugated_ladder
 
     tau0 = 0.8
-    basis = HyperbolicJets.from_tau(Jet.variable(tau0, 2))
+    basis = HyperbolicJets.from_tau(tau0, 2)
     out = conjugated_ladder(basis, [basis.th], 1)
     sech2 = 1.0 / math.cosh(tau0) ** 2
     assert len(out) == 2

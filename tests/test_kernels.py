@@ -21,10 +21,10 @@ def _mpmath_precision():
         yield
 
 
-def h_pair(d, comp, tau_jet, r, xi):
+def h_pair(d, comp, tau, r, xi):
     """(H0, H1): the u^0 and u^1 integrand coefficients of one component,
-    jets at tau_jet's base points with the gaussian e^(-r^2 tanh tau)."""
-    basis = HyperbolicJets.from_tau(tau_jet)
+    order-0 jets at tau with the gaussian e^(-r^2 tanh tau)."""
+    basis = HyperbolicJets.from_tau(tau, 0)
     w, b0, b1, c = bracket_factors(d, comp, basis, xi)
     pref = w * jet_lift_and_compose("exp", basis.th * (-r * r))
     return pref * (b0 + b1 * (r * r)), pref * c
@@ -110,17 +110,35 @@ def test_kernel_symmetry():
 def test_sech_squared_stays_alive_at_large_tau(tau):
     """1 - tanh^2 underflows to exactly zero past tau ~ 19; the
     exponential form must not."""
-    basis = HyperbolicJets.from_tau(Jet.variable(tau, 1))
+    basis = HyperbolicJets.from_tau(tau, 1)
     got = basis.inv_cosh2.value()
     want = float(mpmath.sech(tau) ** 2)
     assert got > 0.0
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", range(6))
+def test_tau_chart_tanh_and_sech_squared_keep_every_bit(order):
+    """th is the tanh lift of the variable and inv_cosh2 the exponential
+    form 4 E / (1 + E)^2, E = exp(-2 sgn tau), bit for bit."""
+    tau = np.geomspace(1e-300, 16384.0, 160)
+    tau = np.concatenate([tau, -tau])
+    with np.errstate(all="ignore"):     # cosh(2 tau) and sinh(2 tau) overflow
+        basis = HyperbolicJets.from_tau(tau, order)
+    x = Jet.variable(tau, order)
+    sgn = np.where(tau >= 0.0, 1.0, -1.0)
+    e = jet_lift_and_compose("exp", x * (-2.0 * sgn))
+    rec = jet_lift_and_compose("reciprocal", 1.0 + e)
+    for got, want in ((basis.th, jet_lift_and_compose("tanh", x)),
+                      (basis.inv_cosh2, 4.0 * e * rec * rec)):
+        assert got.coeffs.shape == want.coeffs.shape
+        assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
 def test_chart_consistency():
     # same bracket values whether built in the tau chart or the tanh chart
     tau0 = 0.9
-    basis_tau = HyperbolicJets.from_tau(Jet.variable(tau0, 2))
+    basis_tau = HyperbolicJets.from_tau(tau0, 2)
     basis_v = HyperbolicJets.from_tanh(Jet.variable(math.tanh(tau0), 2))
     for comp in COMPONENTS:
         wt, b0t, b1t, ct = bracket_factors(2, comp, basis_tau, 0.07)
@@ -134,11 +152,11 @@ def test_chart_consistency():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("comp", COMPONENTS)
 def test_bracket_affine_in_xi(d, comp):
-    tau_jet = Jet.variable(0.9, 0)
+    tau = 0.9
     r = 0.8
 
     def h0(xi):
-        return h_pair(d, comp, tau_jet, r, xi)[0].value()
+        return h_pair(d, comp, tau, r, xi)[0].value()
 
     mid, lo, hi = h0(0.15), h0(0.0), h0(0.3)
     assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=1e-15)
@@ -151,7 +169,7 @@ def test_bracket_xi_slope_is_unit_xi_difference(comp, d, chart):
     """bracket_factors at XI_SLOPE equals bracket(xi + 1) - bracket(xi)."""
     taus = np.array([0.2, 0.9, 3.0])
     if chart == "tau":
-        basis = HyperbolicJets.from_tau(Jet.variable(taus, 3))
+        basis = HyperbolicJets.from_tau(taus, 3)
     else:
         basis = HyperbolicJets.from_tanh(Jet.variable(np.tanh(taus), 3))
     xi = 0.13
@@ -167,11 +185,11 @@ def test_bracket_xi_slope_is_unit_xi_difference(comp, d, chart):
 def test_bracket_degree_one_in_r_squared(comp):
     """After stripping the gaussian, H(0; r) is linear in r^2: the second
     difference over equally spaced r^2 vanishes."""
-    tau_jet = Jet.variable(0.7, 0)
+    tau = 0.7
     xi = 0.05
 
     def stripped(r2):
-        h0 = h_pair(3, comp, tau_jet, math.sqrt(r2), xi)[0].value()
+        h0 = h_pair(3, comp, tau, math.sqrt(r2), xi)[0].value()
         return h0 * math.exp(r2 * math.tanh(0.7))
 
     second_diff = stripped(2.0) - 2.0 * stripped(1.0) + stripped(0.0)
@@ -180,17 +198,17 @@ def test_bracket_degree_one_in_r_squared(comp):
 
 
 def test_u_slope_is_r_independent_after_stripping():
-    tau_jet = Jet.variable(1.2, 0)
+    tau = 1.2
     for comp in COMPONENTS:
-        a = h_pair(1, comp, tau_jet, 0.5, 0.11)[1].value() \
+        a = h_pair(1, comp, tau, 0.5, 0.11)[1].value() \
             * math.exp(0.25 * math.tanh(1.2))
-        b = h_pair(1, comp, tau_jet, 2.0, 0.11)[1].value() \
+        b = h_pair(1, comp, tau, 2.0, 0.11)[1].value() \
             * math.exp(4.0 * math.tanh(1.2))
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_bracket_rejects_unknown_component():
-    basis = HyperbolicJets.from_tau(Jet.variable(1.0, 1))
+    basis = HyperbolicJets.from_tau(1.0, 1)
     with pytest.raises(ValueError):
         bracket_factors(2, "tphi", basis, 0.0)
     with pytest.raises(ValueError):

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_harmonic.quadrature import (QuadratureError, WeightedIntegrand,
-                                         integrate_semiaxis,
+from casimir_harmonic.quadrature import (QuadratureError, integrate_semiaxis,
                                          integrate_unit_interval)
 from casimir_harmonic.specfun import gamma
 
@@ -31,39 +30,43 @@ def test_unit_interval_log_endpoint():
 
 
 def test_weighted_integrand_validation():
-    with pytest.raises(ValueError):
-        WeightedIntegrand(-1.0, lambda t: t)
+    # alpha <= -1 is rejected before the integrand is called once
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return np.exp(-t)
+
+    for alpha in (-1.0, -1.5):
+        with pytest.raises(ValueError):
+            integrate_semiaxis(counted, alpha, tol=1e-10)
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha,s", [(0.5, 1.5), (0.0, 1.0), (2.3, 3.3)])
 def test_semiaxis_gamma(alpha, s):
     # int_0^inf t^alpha e^-t dt = Gamma(alpha+1)
-    value, err = integrate_semiaxis(
-        WeightedIntegrand(alpha, lambda t: np.exp(-t)), tol=1e-12)
+    value, err = integrate_semiaxis(lambda t: np.exp(-t), alpha, tol=1e-12)
     assert value == pytest.approx(gamma(s), rel=1e-12)
     assert abs(value - gamma(s)) <= max(err, 1e-13)
 
 
 def test_semiaxis_log_weight():
     # int_0^inf ln(t) e^-t dt = -euler_gamma
-    value, _ = integrate_semiaxis(
-        WeightedIntegrand(0.0, lambda t: np.log(t) * np.exp(-t)), tol=1e-12)
+    value, _ = integrate_semiaxis(lambda t: np.log(t) * np.exp(-t), 0.0, tol=1e-12)
     assert value == pytest.approx(-0.5772156649015329, abs=1e-12)
 
 
 def test_semiaxis_log_weight_shifted():
     # int_0^inf t^(1/2) ln(t) e^-t dt = Gamma'(3/2)
     want = gamma(1.5) * (2.0 - 0.5772156649015329 - 2.0 * math.log(2.0))
-    value, _ = integrate_semiaxis(
-        WeightedIntegrand(0.5, lambda t: np.log(t) * np.exp(-t)), tol=1e-12)
+    value, _ = integrate_semiaxis(lambda t: np.log(t) * np.exp(-t), 0.5, tol=1e-12)
     assert value == pytest.approx(want, rel=1e-11)
 
 
 def test_semiaxis_slow_gaussian_tail():
     # sharp-but-smooth tail: int_0^inf e^(-t^2/9) dt = 3 sqrt(pi)/2
-    value, _ = integrate_semiaxis(
-        WeightedIntegrand(0.0, lambda t: np.exp(-(t / 3.0) ** 2)),
-        tol=1e-11)
+    value, _ = integrate_semiaxis(lambda t: np.exp(-(t / 3.0) ** 2), 0.0, tol=1e-11)
     assert value == pytest.approx(1.5 * math.sqrt(math.pi), rel=1e-11)
 
 
@@ -74,12 +77,11 @@ def test_semiaxis_rejects_nan():
         return out
 
     with pytest.raises(QuadratureError):
-        integrate_semiaxis(WeightedIntegrand(0.0, bad), tol=1e-10)
+        integrate_semiaxis(bad, 0.0, tol=1e-10)
 
 
 def test_error_estimate_is_conservative():
-    value, err = integrate_semiaxis(
-        WeightedIntegrand(1.0, lambda t: np.exp(-2.0 * t)), tol=1e-12)
+    value, err = integrate_semiaxis(lambda t: np.exp(-2.0 * t), 1.0, tol=1e-12)
     assert abs(value - 0.25) <= max(err, 1e-14)
 
 
@@ -94,10 +96,10 @@ def test_stacked_entries_equal_scalar_calls(alpha):
     def stacked(t):
         return np.stack([f(t) for f in _STACK])
 
-    values, errs = integrate_semiaxis(WeightedIntegrand(alpha, stacked), tol=1e-11)
+    values, errs = integrate_semiaxis(stacked, alpha, tol=1e-11)
     assert values.shape == errs.shape == (len(_STACK),)
     for f, value, err in zip(_STACK, values, errs):
-        assert (value, err) == integrate_semiaxis(WeightedIntegrand(alpha, f), tol=1e-11)
+        assert (value, err) == integrate_semiaxis(f, alpha, tol=1e-11)
     values, errs = integrate_unit_interval(stacked, alpha, tol=1e-12)
     for f, value, err in zip(_STACK, values, errs):
         assert (value, err) == integrate_unit_interval(f, alpha, tol=1e-12)
@@ -110,7 +112,7 @@ def test_stacked_nan_entry_raises():
         return np.stack([np.exp(-t), bad])
 
     with pytest.raises(QuadratureError):
-        integrate_semiaxis(WeightedIntegrand(0.0, stacked), tol=1e-10)
+        integrate_semiaxis(stacked, 0.0, tol=1e-10)
 
 
 # -- the sequential rules as they ran before the stepped driver -------------
@@ -254,7 +256,7 @@ def test_stepped_rules_keep_every_bit(name, alpha):
     f = _INTEGRANDS[name]
     got = integrate_unit_interval(f, alpha, _TOL)
     assert _same_bits(got, _ref_unit(f, alpha, _TOL)[:2])
-    got = integrate_semiaxis(WeightedIntegrand(alpha, f), _TOL)
+    got = integrate_semiaxis(f, alpha, _TOL)
     assert _same_bits(got, _ref_semiaxis(alpha, f, _TOL)[:2])
 
 
@@ -268,7 +270,7 @@ def test_one_integrand_call_per_step(name, alpha):
         return _INTEGRANDS[name](t)
 
     _, _, level, panels = _ref_semiaxis(alpha, _INTEGRANDS[name], _TOL)
-    integrate_semiaxis(WeightedIntegrand(alpha, counted), _TOL)
+    integrate_semiaxis(counted, alpha, _TOL)
     assert len(calls) <= 1 + max(2 * (level - 2), panels - 1)
     calls.clear()
     integrate_unit_interval(counted, alpha, _TOL)
@@ -287,7 +289,7 @@ def _kink_unit_then(tail):
 def test_unit_failure_wins_over_tail_failure(tail):
     f = _kink_unit_then(tail)
     with pytest.raises(QuadratureError, match="unit-interval rule stalled") as caught:
-        integrate_semiaxis(WeightedIntegrand(0.0, f), 1e-14)
+        integrate_semiaxis(f, 0.0, 1e-14)
     with pytest.raises(QuadratureError) as want:
         _ref_semiaxis(0.0, f, 1e-14)
     assert str(caught.value) == str(want.value)
@@ -303,5 +305,5 @@ def test_unit_failure_wins_over_tail_failure(tail):
 ])
 def test_failure_messages(f, message):
     with pytest.raises(QuadratureError) as caught:
-        integrate_semiaxis(WeightedIntegrand(0.0, f), 1e-10)
+        integrate_semiaxis(f, 0.0, 1e-10)
     assert str(caught.value) == message

@@ -28,21 +28,35 @@ CALLS = 20
 ROUNDS = 4
 
 # run inside each tree's interpreter: prints {kernel label: [us per call, ...]}
+# Jets are built through Jet.variable, and sinhc_jet is called as
+# sinhc_jet(t, order, scale) or, in trees that take the variable jet,
+# sinhc_jet(Jet.variable(t, order), scale).
 CHILD = r"""
-import json, sys, time
+import inspect, json, sys, time
 import numpy as np
 from casimir_harmonic.jets import Jet, sinhc_jet
 
 nodes, orders, runs, calls = json.loads(sys.argv[1])
 t = np.linspace(0.0, 1.0, nodes + 2)[1:-1]
 rng = np.random.default_rng(0)
+takes_order = "order" in inspect.signature(sinhc_jet).parameters
+
+
+def random_jet(k):
+    jet = Jet.variable(t, k)
+    jet.coeffs[...] = rng.standard_normal((k + 1, nodes))
+    return jet
+
+
 cases = {}
 for k in orders:
-    x = Jet.variable(t, k)
-    a = Jet(0.0, rng.standard_normal((k + 1, nodes)))
-    b = Jet(0.0, rng.standard_normal((k + 1, nodes)))
-    cases["sinhc_jet scale 1|%d" % k] = lambda x=x: sinhc_jet(x, 1.0)
-    cases["sinhc_jet scale 2|%d" % k] = lambda x=x: sinhc_jet(x, 2.0)
+    a, b = random_jet(k), random_jet(k)
+    for scale in (1.0, 2.0):
+        if takes_order:
+            call = lambda k=k, s=scale: sinhc_jet(t, k, s)
+        else:
+            call = lambda x=Jet.variable(t, k), s=scale: sinhc_jet(x, s)
+        cases["sinhc_jet scale %g|%d" % (scale, k)] = call
     cases["Jet.__mul__|%d" % k] = lambda a=a, b=b: a * b
 samples = {}
 for label, call in cases.items():
