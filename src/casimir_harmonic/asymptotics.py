@@ -123,7 +123,7 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
         th = np.tanh(t)
         return np.array([np.abs(m[i]) * th ** (big_n + 1 - i) for i in kept])
 
-    values, errors = integrate_semiaxis(abs_moments, lam, 1e-8)
+    values, errors = integrate_semiaxis(abs_moments, lam, _REMAINDER_TOL)
     c_rem = 0.0
     for i, v, e in zip(kept, values, errors):
         c_rem += (v + e) / math.factorial(big_n + 1 - i)
@@ -214,9 +214,25 @@ class FiniteLargeR:
             s = m + self.lam + 1.0
             p = 2.0 * (i - m) - 2.0 * self.lam - 2.0
             ug = upper_gamma(s, z0)
-            gtail = gamma(s) * digamma(s) - g_log_gamma(s, z0)
-            total += (abs(q0) * ug + abs(q1) * (abs(gtail) + lg2 * ug)) * r ** p
+            bracket = abs(q0) * ug
+            if q1 != 0.0:
+                bracket += abs(q1) * (_abs_log_tail_bound(s, z0, ug) + lg2 * ug)
+            total += bracket * r ** p
         return total
+
+
+def _abs_log_tail_bound(s, z, upper):
+    """Closed-form upper bound on int_z^inf w^(s-1) e^(-w) |ln w| dw, given
+    upper = Gamma(s, z).
+
+    For w >= z >= 1, 0 <= ln w <= ln z + (w - z)/z, the tangent of ln at z,
+    and int_z^inf w^s e^(-w) dw = s Gamma(s, z) + z^s e^(-z).  For z < 1 the
+    integral splits at 1: |ln w| <= |ln z| below it, the tangent at 1 above.
+    """
+    if z >= 1.0:
+        return (math.log(z) + s / z - 1.0) * upper + math.exp((s - 1.0) * math.log(z) - z)
+    at_one = upper_gamma(s, 1.0)
+    return (s - 1.0) * at_one + math.exp(-1.0) - math.log(z) * (upper - at_one)
 
 
 def _supremum_nodes(v0):
@@ -270,14 +286,15 @@ def large_r_expansion(family, depth=None, v0=0.5):
 
 
 # An asympt request asks for the expansion at two depths, equal in d = 1;
-# the tail integrals do not depend on the depth.
+# the v-chart samples and the tail integrals serve both.
 @functools.lru_cache(maxsize=8)
 def _large_r_constants(family, depth, v0):
     """(Taylor entries (i, m, q0, q1), F, G) of the expansion at depth."""
     lam, deg = family.lam, family.degree
-    order = depth + deg + family.n + 1
-
-    taylor0, taylor1 = family.jets(Jet.variable(0.0, order))
+    # a jet's leading coefficients do not depend on its order, bit for bit,
+    # so every depth up to the default reads one sampling
+    order = max(depth, _DEFAULT_DEPTH[family.d]) + deg + family.n + 1
+    (taylor0, taylor1), (samp0, samp1) = _v_chart_samples(family, v0, order)
     entries = []
     for i in range(deg + 1):
         for m in range(depth + i):
@@ -286,8 +303,6 @@ def _large_r_constants(family, depth, v0):
             entries.append((i, m, q0, q1))
 
     # Taylor-remainder suprema of the (depth+i)-th v-derivatives on (0, v0]
-    nodes = _supremum_nodes(v0)
-    samp0, samp1 = family.jets(Jet.variable(nodes, order))
     tails = _tail_integrals(family, v0)
     f_const, g_const = 0.0, 0.0
     for i in range(deg + 1):
@@ -303,7 +318,19 @@ def _large_r_constants(family, depth, v0):
     return tuple(entries), f_const, g_const
 
 
-_TAIL_TOL = 1e-6
+@functools.lru_cache(maxsize=8)
+def _v_chart_samples(family, v0, order):
+    """The family's jets of the given order at v = 0 and on the supremum nodes."""
+    return (family.jets(Jet.variable(0.0, order)),
+            family.jets(Jet.variable(_supremum_nodes(v0), order)))
+
+
+# The |.| integrands of the envelopes kink where a coefficient changes sign,
+# so tanh-sinh converges there only at deep levels.  Each result enters a
+# bound as value + error, an upper estimate at any tolerance, so these
+# integrals run only as accurately as a bound needs.
+_REMAINDER_TOL = 1e-6      # small-r remainder integrals of |m_i(tau)|
+_TAIL_TOL = 1e-4           # large-r tail integrals of |q_i(v)| past v0
 
 
 @functools.lru_cache(maxsize=8)

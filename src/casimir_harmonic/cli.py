@@ -308,6 +308,9 @@ def _run_asympt(args) -> int:
         "match slopes (log-log decay of the residual): %s"
         % " ".join(_fmt(s) for s in report["slopes"]),
     ]
+    if np.any(grid < 1.0):
+        diagnostics.append("large_r validity: %s; match bounds outside it "
+                           "are not proven" % limit.remainder["validity"])
     if report["vanishes"]:
         diagnostics.append("the profile vanishes to within tol %s on this grid, so its "
                            "residuals are rounding noise with no slope" % _fmt(args.tol))

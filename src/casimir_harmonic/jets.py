@@ -242,6 +242,13 @@ def _sinhc_series(t, order, scale):
     Coefficient m sums table[j, m] * t^(2j - m) over ascending j.  Each
     power is computed once, and at most order + 1 of them are alive at a
     time.
+
+    The sum stops at the first j with 2j >= order whose terms leave every
+    partial sum unchanged, so the result is that of all _SINHC_TERMS terms
+    bit for bit: for |s t| < 1 and 2j >= m, term j+1 of coefficient m is
+    term j times (st)^2 (2j+1) / ((2j+2-m)(2j+1-m)(2j+3)) < 1/2, of the
+    same sign, and rounding is monotone.  A partial sum is never -0.0
+    (it starts at +0.0), so adding a zero term leaves its bits alone.
     """
     table = _sinhc_table(order, scale, type(scale))
     table = table.reshape(table.shape + (1,) * t.ndim)
@@ -254,7 +261,13 @@ def _sinhc_series(t, order, scale):
         powers[:0] = [t ** (2 * j - m) for m in range(fresh)]
         terms = np.array(powers)
         terms *= table[j, : top + 1]
-        fc[: top + 1] += terms
+        if 2 * j < order:
+            fc[: top + 1] += terms
+            continue
+        terms += fc
+        if (terms == fc).all():
+            break
+        fc = terms
     return fc
 
 

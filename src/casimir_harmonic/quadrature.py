@@ -45,6 +45,8 @@ Both return ``(value, err_estimate)`` with a deliberately conservative
 estimate (observed true error stays below it on the golden integrals).
 """
 
+import functools
+
 import numpy as np
 
 
@@ -55,7 +57,10 @@ class QuadratureError(RuntimeError):
 _TMAX = 6.0  # tanh-sinh truncation; keeps |2u| < 700 so nothing underflows
 
 
+@functools.lru_cache(maxsize=32)
 def _ts_nodes(h, odd_only):
+    """Read-only (ln x, x -> 1 branch; ln x, x -> 0 branch; ln dx/dt) of the
+    tanh-sinh nodes of step h; they depend on h alone, so each is built once."""
     j = np.arange(1, int(np.floor(_TMAX / h)) + 1)
     if odd_only:
         j = j[j % 2 == 1]
@@ -67,6 +72,8 @@ def _ts_nodes(h, odd_only):
     # dx/dt = (pi/4) cosh(t) sech^2(u), kept in log form so negative weight
     # exponents cannot overflow before the product is assembled
     ln_jac = np.log(0.25 * np.pi) + np.log(np.cosh(t)) + 2.0 * (np.log(2.0) - u - np.log1p(np.exp(-2.0 * u)))
+    for a in (ln_x_pos, ln_x_neg, ln_jac):
+        a.flags.writeable = False
     return ln_x_pos, ln_x_neg, ln_jac
 
 

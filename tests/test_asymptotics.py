@@ -303,3 +303,130 @@ def test_large_r_expansion_takes_a_0d_array_coupling():
     _, want = large_r_expansion(VChartFamily(2, "rr", 0.125))
     assert [(r.r_power, r.has_log, r.coefficient) for r in got.rows] == \
         [(r.r_power, r.has_log, r.coefficient) for r in want.rows]
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 5.0, 9.0])
+def test_abs_log_tail_bound_against_mpmath(s):
+    """The closed form bounds int_z^inf w^(s-1) e^(-w) |ln w| dw from above, and
+    within 5% once z >= 8."""
+    from casimir_harmonic.asymptotics import _abs_log_tail_bound
+    from casimir_harmonic.specfun import upper_gamma
+
+    with mpmath.workdps(30):
+        for z in (0.5, 0.8, 1.0, 2.0, 8.0, 20.0, 72.0):
+            f = lambda w: w ** (s - 1) * mpmath.exp(-w) * abs(mpmath.log(w))
+            tail = float(mpmath.quad(f, [z, 1, mpmath.inf] if z < 1 else [z, mpmath.inf]))
+            bound = _abs_log_tail_bound(s, z, upper_gamma(s, z))
+            assert bound >= tail
+            if z >= 8.0:
+                assert bound <= 1.05 * tail
+
+
+def test_gamma_tail_bound_runs_no_quadrature(monkeypatch):
+    import casimir_harmonic.quadrature as quadrature
+
+    finite, _ = large_r_expansion(VChartFamily(3, "rr", XI_SLOPE))
+    assert any(q1 != 0.0 for _, _, _, q1 in finite.entries)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(quadrature, "integrate_semiaxis", refuse)
+    monkeypatch.setattr(quadrature, "integrate_unit_interval", refuse)
+    for r in (1.0, 1.3, 5.0, 10.0):
+        assert finite.gamma_tail_bound(r) > 0.0
+
+
+_ENVELOPE_CASES = [(1, "tt", "diamond"), (1, "rr", "square"), (2, "tt", "square"),
+                   (2, "theta1theta1_reduced", "diamond"), (3, "tt", "diamond"),
+                   (3, "rr", "square")]
+
+
+def _envelope_constants(cases):
+    import casimir_harmonic.asymptotics as asymptotics
+    from casimir_harmonic.kernels import part_coupling
+
+    asymptotics._large_r_constants.cache_clear()
+    asymptotics._tail_integrals.cache_clear()
+    out = []
+    for d, comp, part in cases:
+        coupling = part_coupling(d, 0.2, part)
+        small = small_r_expansion(build_P_polynomials(d, comp, coupling), 3, tol=1e-10)
+        _, limit = large_r_expansion(VChartFamily(d, comp, coupling))
+        out.append((small.remainder["F"], limit.remainder["F"], limit.remainder["G"]))
+    return out
+
+
+def test_envelope_constants_at_loose_tolerance_bound_the_tight_ones(monkeypatch):
+    """The |.| integrals run at the tolerance a bound needs; each constant stays
+    at or above its value at tolerances 1e-8 (small r) and 1e-6 (large-r tails),
+    and within 0.5% of it."""
+    import casimir_harmonic.asymptotics as asymptotics
+
+    loose = _envelope_constants(_ENVELOPE_CASES)
+    monkeypatch.setattr(asymptotics, "_REMAINDER_TOL", 1e-8)
+    monkeypatch.setattr(asymptotics, "_TAIL_TOL", 1e-6)
+    tight = _envelope_constants(_ENVELOPE_CASES)
+    asymptotics._large_r_constants.cache_clear()
+    asymptotics._tail_integrals.cache_clear()
+    for case, got, want in zip(_ENVELOPE_CASES, loose, tight):
+        for g, w in zip(got, want):
+            assert w <= g <= 1.005 * w, case
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_asympt_request_samples_the_supremum_nodes_once(d, monkeypatch):
+    # the default and the match report's depths differ in d = 2 and 3
+    import casimir_harmonic.asymptotics as asymptotics
+    from casimir_harmonic import cli
+
+    calls = []
+    original = asymptotics._supremum_nodes
+
+    def counted(v0):
+        calls.append(v0)
+        return original(v0)
+
+    monkeypatch.setattr(asymptotics, "_supremum_nodes", counted)
+    asymptotics._large_r_constants.cache_clear()
+    asymptotics._v_chart_samples.cache_clear()
+    assert cli.main(["asympt", "--d", d, "--part", "square", "--r", "5", "10", "2"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", [VChartFamily(1, "tt", 0.0),
+                                    VChartFamily(2, "rr", XI_SLOPE),
+                                    VChartFamily(3, "theta1theta1_reduced", 0.2)])
+def test_v_chart_leading_coefficients_do_not_depend_on_the_order(family):
+    # the large-r constants read every depth's Taylor rows off one sampling
+    v = np.linspace(0.5 / 513.0, 0.5, 513)
+    for low, high in ((3, 12), (7, 12)):
+        for jets_low, jets_high in zip(family.jets(Jet.variable(v, low)),
+                                       family.jets(Jet.variable(v, high))):
+            for a, b in zip(jets_low, jets_high):
+                kept = a.coeffs.shape[0]
+                assert np.array_equal(a.coeffs.view(np.int64),
+                                      b.coeffs[:kept].view(np.int64))
+
+
+def test_small_r_remainder_integrals_stay_shallow(monkeypatch):
+    """The remainder integrals of |m_i(tau)| stop at the tolerance a bound
+    needs rather than resolving each kink to 1e-8."""
+    import casimir_harmonic.asymptotics as asymptotics
+    from casimir_harmonic import cli
+
+    nodes = []
+    original = asymptotics.integrate_semiaxis
+
+    def counted(integrand, alpha, tol):
+        nodes.append(0)
+
+        def f(t):
+            nodes[-1] += len(t)
+            return integrand(t)
+        return original(f, alpha, tol)
+
+    monkeypatch.setattr(asymptotics, "integrate_semiaxis", counted)
+    assert cli.main(["asympt", "--d", "1", "--part", "square", "--component", "rr"]) == 0
+    _, remainder = nodes
+    assert remainder <= 8000

@@ -262,6 +262,17 @@ def test_asympt_notes_a_vanishing_profile(capsys, d, component, vanishes):
     assert any("vanishes to within tol" in n for n in notes) == vanishes
 
 
+@pytest.mark.parametrize("radii,noted", [(("0.3", "0.9", "3"), True),
+                                         (("0.5", "2", "4"), True),
+                                         (("1", "5", "3"), False)])
+def test_asympt_notes_radii_outside_the_large_r_validity(capsys, radii, noted):
+    # the large-r envelope is proven for r >= 1 only
+    code, out, _ = run(capsys, "asympt", "--d", "1", "--r", *radii)
+    assert code == 0
+    _, _, notes = parse_csv(out)
+    assert any(n.startswith("large_r validity: r >= 1") for n in notes) == noted
+
+
 def test_asympt_prints_noise_rows_as_zero(capsys):
     # the d=1 rr xi-slope vanishes identically, so every row is noise
     code, out, _ = run(capsys, "asympt", "--d", "1", "--part", "square",

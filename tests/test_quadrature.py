@@ -260,6 +260,18 @@ def test_stepped_rules_keep_every_bit(name, alpha):
     assert _same_bits(got, _ref_semiaxis(alpha, f, _TOL)[:2])
 
 
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_tanh_sinh_nodes_are_built_once_and_read_only(odd_only):
+    from casimir_harmonic.quadrature import _ts_nodes
+
+    h = 0.5 ** 4
+    first = _ts_nodes(h, odd_only)
+    assert _ts_nodes(h, odd_only) is first
+    for got, want in zip(first, _ref_ts_nodes(h, odd_only)):
+        assert not got.flags.writeable
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_one_integrand_call_per_step(name, alpha):

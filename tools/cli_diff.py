@@ -7,14 +7,16 @@ that fail (one quadrature failure, exit 3, and two rejected inputs, exit 2) with
 tree's ``src`` on PYTHONPATH, two requests at a time.  Of stderr only the final line
 counts, the JSON error record of a failed request; the warnings before it may come in
 any order.  Per request it prints "byte-identical" or a changed exit code or error
-record and each changed cell ([row key] column: old -> new |delta|, keyed by
-the kind, r_power, has_log, r, d and criterion cells), added (+) and removed (-) rows
-and notes.  The summary gives the largest |delta| of any numeric cell and, on its own
-line, of the cells whose old and new |value| both exceed 1e-12.  Stdlib only.
+record and each changed cell ([row key] column: old -> new |delta| and |delta|/|old|,
+keyed by the kind, r_power, has_log, r, d and criterion cells), added (+) and removed
+(-) rows and notes.  The summary gives the largest |delta| of any numeric cell and, on
+its own line, the largest |delta| and |delta|/|old| of the cells whose old and new
+|value| both exceed 1e-12.  Stdlib only.
 """
 
 import argparse
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -58,18 +60,21 @@ NEGLIGIBLE = 1e-12
 
 
 def delta(old, new):
-    """(|new - old|, whether both |values| exceed NEGLIGIBLE), or None for text."""
+    """(|new - old|, |new - old|/|old|, whether both |values| exceed NEGLIGIBLE), or
+    None for text.  The relative change of a cell that was 0 is inf."""
     try:
         a, b = float(old), float(new)
     except (TypeError, ValueError):
         return None
-    return abs(b - a), min(abs(a), abs(b)) > NEGLIGIBLE
+    change = abs(b - a)
+    return change, change / abs(a) if a else math.inf, min(abs(a), abs(b)) > NEGLIGIBLE
 
 
 def compare(old, new):
-    """Report lines for one request (none if byte-identical), its largest |delta| and
-    its largest |delta| among cells whose old and new |value| exceed NEGLIGIBLE."""
-    lines, worst, worst_big = [], 0.0, 0.0
+    """Report lines for one request (none if byte-identical), its largest |delta|, and
+    its largest |delta| and |delta|/|old| among cells whose old and new |value|
+    exceed NEGLIGIBLE."""
+    lines, worst, worst_big, worst_rel = [], 0.0, 0.0, 0.0
     if old[0] != new[0]:
         lines.append("exit code %d -> %d" % (old[0], new[0]))
     if old[2] != new[2] and (old[0] or new[0]):
@@ -85,13 +90,15 @@ def compare(old, new):
                 d = delta(cell, b.get(column))
                 if d is not None:
                     worst = max(worst, d[0])
-                    worst_big = max(worst_big, d[0] if d[1] else 0.0)
+                    if d[2]:
+                        worst_big, worst_rel = max(worst_big, d[0]), max(worst_rel, d[1])
                 lines.append("[%s] %s: %s -> %s |delta| %s" % (
-                    key, column, cell, b.get(column), "-" if d is None else "%.3g" % d[0]))
+                    key, column, cell, b.get(column),
+                    "-" if d is None else "%.3g |delta|/|old| %.3g" % d[:2]))
     lines += ["- " + n for n in old_notes if n not in new_notes]
     lines += ["+ " + n for n in new_notes if n not in old_notes]
     return (lines or (["output differs outside rows and notes"] if old[1] != new[1] else []),
-            worst, worst_big)
+            worst, worst_big, worst_rel)
 
 
 def main(argv=None):
@@ -101,18 +108,18 @@ def main(argv=None):
     todo = requests()
     with ThreadPoolExecutor(max_workers=2) as pool:
         outputs = pool.map(lambda a: tuple(run(tree, a) for tree in args.trees), todo)
-        identical, worst, worst_big = 0, 0.0, 0.0
+        identical, worst, worst_big, worst_rel = 0, 0.0, 0.0, 0.0
         for request, (old, new) in zip(todo, outputs):
-            lines, w, w_big = compare(old, new)
+            lines, w, w_big, w_rel = compare(old, new)
             identical += not lines
-            worst, worst_big = max(worst, w), max(worst_big, w_big)
+            worst, worst_big, worst_rel = max(worst, w), max(worst_big, w_big), max(worst_rel, w_rel)
             print(" ".join(request) + (": changed" if lines else ": byte-identical"))
             for line in lines:
                 print("    " + line)
     print("summary: %d of %d requests byte-identical; largest numeric |delta| %.3g"
           % (identical, len(todo), worst))
-    print("summary: largest |delta| among cells with old and new |value| > %g: %.3g"
-          % (NEGLIGIBLE, worst_big))
+    print("summary: among cells with old and new |value| > %g, largest |delta| %.3g, "
+          "largest |delta|/|old| %.3g" % (NEGLIGIBLE, worst_big, worst_rel))
     return 0
 
 

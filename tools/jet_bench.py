@@ -3,14 +3,15 @@
     python3 tools/jet_bench.py OLD_TREE NEW_TREE
 
 Times ``sinhc_jet`` at scales 1 and 2 and ``Jet.__mul__`` at orders 2..8 on
-1000 nodes spread over the unit interval, where the tanh-sinh rule puts the
-nodes of every tau-integral's unit piece: at scale 1 every node takes the
-even-series branch of ``sinhc_jet``, at scale 2 about half do.  Each tree
-runs in its own interpreter with its ``src`` on PYTHONPATH, ``ROUNDS``
-times, the first tree of each round alternating between old and new; a
-kernel's figure is the median over all rounds of ``RUNS`` timed runs of
-``CALLS`` calls each.  Prints one JSON object: per kernel and
-order the median microseconds per call in each tree and old / new.
+16 and on 1000 nodes spread over the unit interval, where the tanh-sinh rule
+puts the nodes of every tau-integral's unit piece: at scale 1 every node
+takes the even-series branch of ``sinhc_jet``, at scale 2 about half do.
+Each tree runs in its own interpreter with its ``src`` on PYTHONPATH,
+``ROUNDS`` times per node count, the first tree of each round alternating
+between old and new; a kernel's figure is the median over all rounds of
+``RUNS`` timed runs of ``CALLS`` calls each.  Prints one JSON object: per
+kernel, node count and order the median microseconds per call in each tree
+and old / new.
 Stdlib and numpy only.
 """
 
@@ -21,7 +22,7 @@ import statistics
 import subprocess
 import sys
 
-NODES = 1000
+NODES = (16, 1000)   # per-call overhead, then the array work
 ORDERS = range(2, 9)
 RUNS = 10
 CALLS = 20
@@ -72,10 +73,10 @@ print(json.dumps(samples))
 """
 
 
-def measure(tree):
+def measure(tree, nodes):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    settings = json.dumps([NODES, list(ORDERS), RUNS, CALLS])
+    settings = json.dumps([nodes, list(ORDERS), RUNS, CALLS])
     proc = subprocess.run([sys.executable, "-c", CHILD, settings], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -85,20 +86,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, metavar="TREE", help="the old tree, then the new one")
     args = parser.parse_args(argv)
-    samples = [{}, {}]
-    for round_ in range(ROUNDS):
-        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
-            for label, times in measure(args.trees[side]).items():
-                samples[side].setdefault(label, []).extend(times)
     kernels = []
-    for label in samples[0]:
-        kernel, order = label.split("|")
-        old, new = (statistics.median(s[label]) for s in samples)
-        kernels.append({"kernel": kernel, "order": int(order), "old_us": round(old, 1),
-                        "new_us": round(new, 1), "old_over_new": round(old / new, 2)})
-    kernels.sort(key=lambda row: (row["kernel"], row["order"]))
-    print(json.dumps({"nodes": NODES, "runs_per_tree": ROUNDS * RUNS, "calls_per_run": CALLS,
-                      "kernels": kernels}, indent=1))
+    for nodes in NODES:
+        samples = [{}, {}]
+        for round_ in range(ROUNDS):
+            for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+                for label, times in measure(args.trees[side], nodes).items():
+                    samples[side].setdefault(label, []).extend(times)
+        for label in samples[0]:
+            kernel, order = label.split("|")
+            old, new = (statistics.median(s[label]) for s in samples)
+            kernels.append({"kernel": kernel, "nodes": nodes, "order": int(order),
+                            "old_us": round(old, 1), "new_us": round(new, 1),
+                            "old_over_new": round(old / new, 2)})
+    kernels.sort(key=lambda row: (row["kernel"], row["nodes"], row["order"]))
+    print(json.dumps({"nodes": NODES, "runs_per_tree": ROUNDS * RUNS,
+                      "calls_per_run": CALLS, "kernels": kernels}, indent=1))
     return 0
 
 
