@@ -162,8 +162,11 @@ def _emit(args, config: dict, columns: list, rows: list, diagnostics: list) -> N
             lines.append("# note: " + note)
         text = "\n".join(lines) + "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationFailure("cannot write --output: %s" % exc) from None
     else:
         sys.stdout.write(text)
 
@@ -247,16 +250,15 @@ def _run_stress(args) -> int:
     xi_of_d = _parse_xi(args.xi)
     cfg = _harmonic_config(args, xi_of_d)
     grid = _radius_grid(args)
+    if not np.isfinite(grid / cfg.k).all():
+        raise ValidationFailure("r/k must be finite")
     with_x = getattr(args, "k", None) is not None
     columns = ["r"] + (["x"] if with_x else []) + [
         "component", "t0", "t1", "vev",
         "t0_diamond", "t1_diamond", "t0_square", "t1_square",
     ]
     parts = conformal_split(cfg, args.component, grid, tol=args.tol)
-    # At xi = xi_c the full value is the diamond part, bit for bit.
-    full = (parts["diamond"] if cfg.xi == xi_conformal(cfg.d)
-            else stress_component(cfg, args.component, grid, tol=args.tol))
-    columns_of = [full.t0, full.t1, full.vev, parts["diamond"].t0,
+    columns_of = [parts["raw"].t0, parts["raw"].t1, parts["raw"].vev, parts["diamond"].t0,
                   parts["diamond"].t1, parts["square"].t0, parts["square"].t1]
     rows = [[float(r)] + ([float(r) / cfg.k] if with_x else [])
             + [args.component] + [column[i] for column in columns_of]

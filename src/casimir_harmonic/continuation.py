@@ -189,17 +189,19 @@ def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
     with lam = weight_exponent(d, n).  P1 vanishes identically for even d.
     xi is a float coupling or a pair (one, xi); XI_SLOPE gives the exact
     xi-slopes of P0 and P1.  The result is P0 and P1 stacked on a leading
-    axis, from one ladder pass per node set; it unpacks as (P0, P1).
+    axis, from one ladder pass per node set; it unpacks as (P0, P1).  A pair
+    of 1-d arrays stacks C couplings: the shape is then (2, C, degree+1, N).
     """
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")
     a_main, a_slope, b_main, n = p_constants(d, n, pipeline)
+    if isinstance(xi, tuple) and np.ndim(xi[0]):
+        xi = tuple(np.reshape(v, (-1, 1)) for v in xi)     # shape (C, 1), over the nodes
 
     def coeffs(tau_nodes):
         basis = HyperbolicJets.from_tau(tau_nodes, n)
         main, slope = u_affine_ladder(basis, d, comp, xi, n)
-        shape = np.shape(tau_nodes)
-        return np.array([[np.broadcast_to(row.value(), shape) for row in rows]
+        return np.array([np.stack([row.value() for row in rows], axis=-1 - np.ndim(tau_nodes))
                          for rows in p_from_ladder(main, slope, a_main, a_slope, b_main)])
 
     return _PPair(n + 1, coeffs, weight_exponent(d, n))

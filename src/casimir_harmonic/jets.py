@@ -4,7 +4,8 @@ A ``Jet`` stores the Taylor coefficients (not derivatives) of a function
 of one variable up to a chosen order; the base point is the value of the
 variable jet the function was built from.  ``coeffs[m]`` may be a scalar
 or an ndarray, so a single jet can carry the expansion at a whole grid of
-base points at once; all operations broadcast over that trailing shape.
+base points at once; all operations broadcast over that trailing shape,
+as does an ndarray operand: (C, 1) times a jet on N nodes stacks C jets.
 
 Elementary functions are applied through ``jet_lift_and_compose`` using
 the standard power-series recurrences; ``tanh`` and ``arcth`` are built
@@ -29,8 +30,14 @@ import math
 import numpy as np
 
 
+def _pad(c, ndim):
+    """Coefficients c with unit axes after the order axis, up to ndim axes."""
+    return c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:])
+
+
 class Jet:
     __slots__ = ("order", "coeffs")
+    __array_ufunc__ = None      # ndarray + - * Jet call the reflected Jet operators
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -66,7 +73,11 @@ class Jet:
         if isinstance(other, Jet):
             a, b, k = self._aligned(other)
             return Jet(a + b)
-        c = self.coeffs.copy()
+        if isinstance(other, np.ndarray) and other.ndim:
+            # a copy spread over other's shape: x * 1.0 keeps every bit of x
+            c = _pad(self.coeffs, other.ndim + 1) * np.ones_like(other)
+        else:
+            c = self.coeffs.copy()
         c[0] = c[0] + other
         return Jet(c)
 
@@ -87,13 +98,15 @@ class Jet:
             if b.ndim < a.ndim:
                 # pad b to a's trailing rank, so that b's order axis never
                 # meets a trailing axis of a
-                b = b.reshape(b.shape[:1] + (1,) * (a.ndim - b.ndim) + b.shape[1:])
+                b = _pad(b, a.ndim)
             # coefficient m sums a[j] * b[m - j] over j = 0..m in order,
             # starting from +0.0
             out = a[0] * b + 0.0
             for j in range(1, k + 1):
                 out[j:] += a[j] * b[: k + 1 - j]
             return Jet(out)
+        if isinstance(other, np.ndarray) and other.ndim:
+            return Jet(_pad(self.coeffs, other.ndim + 1) * other)
         return Jet(self.coeffs * other)
 
     __rmul__ = __mul__

@@ -60,6 +60,13 @@ class HarmonicConfig:
             raise ValueError("k, kappa and xi must be finite")
         if self.k <= 0.0 or self.kappa <= 0.0:
             raise ValueError("scales k and kappa must be positive")
+        try:
+            scale = float(self.k) ** (self.d + 1)
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError("k^(d+1), the scale of every stress value, must be a "
+                             "positive finite float")
 
     @property
     def kappa_over_k(self):

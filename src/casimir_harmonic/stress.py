@@ -35,11 +35,11 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None
     """The pair (t0, t1) for one component at dimensionless radius r.
 
     r may be an array of radii, and t0, t1 take its shape: one quadrature
-    call serves every radius and all three profile integrals.  coupling
-    replaces cfg.xi by any coupling ``bracket_factors`` takes; XI_SLOPE gives
-    the exact xi-slopes of t0 and t1.  In d = 1, "theta1theta1_reduced" is
-    the formal contraction with a unit vector orthogonal to x, not a
-    component of the d = 1 tensor.
+    call serves every radius, coupling and all three profile integrals.
+    coupling replaces cfg.xi by any coupling ``build_P_polynomials`` takes:
+    XI_SLOPE for the exact xi-slopes, or a stack of C that adds a leading
+    axis of length C.  In d = 1, "theta1theta1_reduced" is the formal
+    contraction with a unit vector orthogonal to x, not a d = 1 component.
     """
     if comp not in COMPONENTS:
         raise ValueError(f"unknown component {comp!r}")
@@ -77,11 +77,14 @@ def conformal_split(cfg, comp, r, tol=1e-9):
 
     The brackets are linear in the coupling (one, xi), so the square part is
     the component evaluated at XI_SLOPE, and the value at any xi is
-    diamond + (xi - xi_c) * square.  r may be an array of radii.
+    diamond + (xi - xi_c) * square; 'raw' is the value at cfg.xi.  One
+    stress_profiles call serves all three.  r may be an array of radii.
     """
-    return {part: _stress_value(cfg, comp, r, stress_profiles(
-                cfg, comp, r, tol, coupling=part_coupling(cfg.d, cfg.xi, part)))
-            for part in ("diamond", "square")}
+    parts = ("diamond", "square", "raw")
+    pairs = [part_coupling(cfg.d, cfg.xi, part) for part in parts]
+    t0, t1 = stress_profiles(cfg, comp, r, tol, coupling=tuple(np.transpose(
+        [pair if isinstance(pair, tuple) else (1.0, pair) for pair in pairs])))
+    return {part: _stress_value(cfg, comp, r, (t0[i], t1[i])) for i, part in enumerate(parts)}
 
 
 def stress_grid(cfg, comp, r_values, tol=1e-9):

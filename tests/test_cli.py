@@ -141,6 +141,18 @@ def test_output_file_writing(tmp_path, capsys):
     assert payload["rows"][0][1] == pytest.approx(0.0430546469, abs=1e-9)
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "x.csv" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "energy", "--d", "1", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    message = json.loads(err)
+    assert message["exit_code"] == 2
+    assert "--output" in message["error"]
+
+
 def test_empty_radius_grid_exits_2(capsys):
     code, out, err = run(capsys, "stress", "--d", "1", "--r", "0", "5", "0")
     assert code == 2
@@ -166,6 +178,10 @@ def test_bad_xi_exits_2(capsys):
     ["stress", "--d", "1", "--kappa-over-k", "nan"],
     ["stress", "--d", "1", "--k", "inf"],
     ["stress", "--d", "1", "--k", "0"],
+    # k^(d+1) overflows, or underflows to 0; r/k overflows
+    ["stress", "--d", "3", "--k", "1e100"],
+    ["stress", "--d", "1", "--k", "1e-320", "--r", "0", "5", "2", "--format", "json"],
+    ["stress", "--d", "1", "--k", "1e-10", "--r", "0", "1e300", "2"],
     ["asympt", "--d", "2", "--xi=-inf"],
     ["asympt", "--d", "2", "--r", "5", "nan", "2"],
     ["energy", "--d", "1", "--tol", "nan"],

@@ -298,3 +298,22 @@ def test_sinhc_jet_keeps_every_bit(order, scale):
     for name, t in nodes.items():
         got = sinhc_jet(t, order, scale).coeffs
         assert _bits_equal(got, _ref_sinhc(Jet.variable(t, order).coeffs, scale)), name
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 7)])
+def test_array_operand_stacks_jets_keeping_every_bit(shape):
+    # an ndarray operand broadcasts over the trailing shape: a (C, 1) operand
+    # stacks C jets, entry i the jet (or its entry i) with the scalar a[i, 0]
+    rng = np.random.default_rng(300 + len(shape))
+    coeffs = _coeffs(rng, 4, shape)
+    a = np.array([[1.5], [-0.0], [0.0], [-3.25e-3], [1.0]])
+    ops = {"jet + a": lambda j, x: j + x, "a + jet": lambda j, x: x + j,
+           "jet - a": lambda j, x: j - x, "a - jet": lambda j, x: x - j,
+           "jet * a": lambda j, x: j * x, "a * jet": lambda j, x: x * j}
+    for name, op in ops.items():
+        got = op(Jet(coeffs), a)
+        assert isinstance(got, Jet), name
+        assert got.coeffs.shape == (5,) + np.broadcast_shapes(shape, a.shape), name
+        for i, scalar in enumerate(a[:, 0]):
+            want = op(Jet(coeffs[:, i] if len(shape) == 2 else coeffs), float(scalar)).coeffs
+            assert _bits_equal(got.coeffs[:, i].reshape(want.shape), want), (name, i)

@@ -11,9 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from casimir_harmonic import stress
+from casimir_harmonic.cli import main
 from casimir_harmonic.continuation import RSquarePoly, renorm_scale_constant
 from casimir_harmonic.energy import bulk_energy_quadrature
-from casimir_harmonic.kernels import COMPONENTS, HarmonicConfig, xi_conformal
+from casimir_harmonic.kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig,
+                                      HyperbolicJets, xi_conformal)
 from casimir_harmonic.stress import (StressValue, conformal_split,
                                      stress_component, stress_grid,
                                      stress_profiles)
@@ -97,12 +100,25 @@ def test_split_reconstructs_direct_value(xi):
     lambda: stress_profiles(HarmonicConfig(d=1), "tt", 1.0, tol=math.nan),
     lambda: stress_component(HarmonicConfig(d=3), "rr", math.inf),
     lambda: bulk_energy_quadrature(1, tol=math.nan),
+    # k^(d+1) multiplies every stress value, so it must neither overflow
+    # nor underflow to 0
+    lambda: stress_component(HarmonicConfig(d=3, k=1e100, kappa=1e100), "tt", 1.0),
+    lambda: HarmonicConfig(d=1, k=1e-320, kappa=1e-320),
+    lambda: HarmonicConfig(d=3, k=1e-90),
 ], ids=["k_nan", "kappa_inf", "xi_inf", "xi_nan", "r_nan", "r_inf",
-        "tol_nan", "component_r_inf", "energy_tol_nan"])
+        "tol_nan", "component_r_inf", "energy_tol_nan", "k_scale_overflow",
+        "k_scale_underflow_d1", "k_scale_underflow_d3"])
 def test_nonfinite_input_is_a_validation_error(call):
     # not a QuadratureError and not a silent NaN
     with pytest.raises(ValueError):
         call()
+
+
+def test_scale_at_the_edge_of_the_float_range_is_accepted():
+    # 1e77^4 = 1e308 is finite
+    big = stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", 0.5)
+    unit = stress_component(HarmonicConfig(d=3), "tt", 0.5)
+    assert big.t0 == unit.t0 and math.isfinite(big.vev)
 
 
 def test_d1_rr_square_part_origin():
@@ -204,3 +220,61 @@ def test_grid_evaluates_coefficients_once_per_node_set(monkeypatch):
     calls.clear()
     stress_grid(cfg, "tt", radii)
     assert len(calls) <= 2 * max(single)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("comp", COMPONENTS)
+@pytest.mark.parametrize("r", [0.8, np.array([0.0, 1.3, 4.5])], ids=["scalar", "array"])
+def test_stacked_couplings_equal_single_coupling_calls(d, comp, r):
+    cfg = HarmonicConfig(d=d, xi=0.2)
+    couplings = [xi_conformal(d), XI_SLOPE, 0.3, (1.0, 0.3)]
+    stack = (np.array([1.0, 0.0, 1.0, 1.0]), np.array([xi_conformal(d), 1.0, 0.3, 0.3]))
+    t0, t1 = stress_profiles(cfg, comp, r, tol=1e-8, coupling=stack)
+    assert t0.shape == t1.shape == (len(couplings),) + np.shape(r)
+    for i, coupling in enumerate(couplings):
+        want0, want1 = stress_profiles(cfg, comp, r, tol=1e-8, coupling=coupling)
+        assert np.array_equal(_bits(t0[i]), _bits(want0)), coupling
+        assert np.array_equal(_bits(t1[i]), _bits(want1)), coupling
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("comp", COMPONENTS)
+def test_split_at_the_conformal_coupling_has_raw_equal_to_diamond(d, comp):
+    radii = np.array([0.0, 0.9, 3.0])
+    parts = conformal_split(HarmonicConfig(d=d, xi=xi_conformal(d)), comp, radii)
+    assert set(parts) == {"diamond", "square", "raw"}
+    for field in ("t0", "t1", "vev"):
+        assert np.array_equal(_bits(getattr(parts["raw"], field)),
+                              _bits(getattr(parts["diamond"], field))), field
+
+
+@pytest.mark.parametrize("xi", ["conformal", "0.3"])
+def test_stress_request_builds_one_basis_per_integrand_call(monkeypatch, capsys, xi):
+    # one quadrature for every radius, coupling and profile integral, and one
+    # tau-basis per call of its integrand
+    bases, integrand_calls, quadratures = [], [], []
+    from_tau = HyperbolicJets.from_tau
+    integrate = stress.integrate_semiaxis
+
+    def counted_basis(tau, order):
+        bases.append(len(tau))
+        return from_tau(tau, order)
+
+    def counted_quadrature(integrand, alpha, tol):
+        quadratures.append(tol)
+
+        def counted(tau_nodes):
+            integrand_calls.append(len(tau_nodes))
+            return integrand(tau_nodes)
+        return integrate(counted, alpha, tol)
+
+    monkeypatch.setattr(HyperbolicJets, "from_tau", staticmethod(counted_basis))
+    monkeypatch.setattr(stress, "integrate_semiaxis", counted_quadrature)
+    assert main(["stress", "--d", "3", "--xi", xi, "--r", "0", "6", "4"]) == 0
+    capsys.readouterr()
+    assert len(quadratures) == 1
+    assert bases == integrand_calls

@@ -2,11 +2,13 @@
 
     python3 tools/cli_diff.py OLD_TREE NEW_TREE
 
-Runs 27 ``stress``, 18 ``asympt``, 3 ``energy`` requests, ``selftest`` and 3 requests
-that fail (one quadrature failure, exit 3, and two rejected inputs, exit 2) with each
-tree's ``src`` on PYTHONPATH, two requests at a time.  Of stderr only the final line
-counts, the JSON error record of a failed request; the warnings before it may come in
-any order.  Per request it prints "byte-identical" or a changed exit code or error
+Runs 29 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON
+quantizer), 18 ``asympt``, 3 ``energy`` requests, ``selftest`` and 5 requests that fail
+(one quadrature failure, exit 3, and four rejected inputs, exit 2: a non-finite radius,
+a zero radius for ``asympt``, a k whose k^(d+1) overflows, and an ``--output`` that is
+a directory) with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of stderr
+only the final line counts, the JSON error record of a failed request; the warnings
+before it may come in any order.  Per request it prints "byte-identical" or a changed exit code or error
 record and each changed cell ([row key] column: old -> new |delta| and |delta|/|old|,
 keyed by the kind, r_power, has_log, r, d and criterion cells), added (+) and removed
 (-) rows and notes.  The summary gives the largest |delta| of any numeric cell and, on
@@ -30,12 +32,17 @@ def requests():
     asympt = itertools.product("123", ("diamond", "square", "raw"), ("tt", "rr"))
     return ([["stress", "--d", d, "--component", c, "--xi", xi, "--r", "0", "7", "4",
               "--kappa-over-k", "1.7"] for d, c, xi in stress]
+            + [["stress", "--d", "2", "--component", "rr", "--xi", "0.3", "--k", "2.5",
+                "--r", "0", "7", "4"],
+               ["stress", "--d", "3", "--xi", "0.3", "--r", "0", "7", "4", "--format", "json"]]
             + [["asympt", "--d", d, "--part", p, "--component", c, "--xi", "0.2",
                 "--r", "4.5", "11", "2"] for d, p, c in asympt]
             + [["energy", "--d", d] for d in "123"] + [["selftest"]]
             + [["stress", "--d", "3", "--component", "tt", "--tol", "1e-300", "--r", "0", "5", "2"],
                ["stress", "--d", "1", "--r", "0", "nan", "11"],
-               ["asympt", "--d", "2", "--r", "0", "5", "3"]])
+               ["asympt", "--d", "2", "--r", "0", "5", "3"],
+               ["stress", "--d", "3", "--k", "1e100"],
+               ["energy", "--d", "1", "--output", "."]])
 
 
 def run(tree, argv):
