@@ -67,6 +67,10 @@ class HarmonicConfig:
         if not 0.0 < scale < math.inf:
             raise ValueError("k^(d+1), the scale of every stress value, must be a "
                              "positive finite float")
+        # 2 kappa/k is the argument of the log in M = gamma_E + 2 ln(2 kappa/k)
+        if not 0.0 < 2.0 * self.kappa_over_k < math.inf:
+            raise ValueError("2 kappa/k, the argument of the log-scale constant, must be a "
+                             "positive finite float")
 
     @property
     def kappa_over_k(self):

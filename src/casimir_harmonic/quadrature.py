@@ -23,17 +23,19 @@ alone.  A scalar return value is constant along the nodes.
 
 Step schedule.  Each rule runs as a generator that yields the nodes of its
 next step and receives f's values on them; ``_step_together`` joins the
-nodes of every rule still running and calls f once per step.  The
-tanh-sinh rule's first step holds the centre and levels 0-2 (an entry's
-error is inf until level 1, so none can stop before level 2); each later
-step holds one branch of the next level, x -> 1 then x -> 0.  The tail's
-steps hold one panel each, both Gauss-Legendre rules.  So
-``integrate_semiaxis`` calls f once for the centre, levels 0-2 and panel
-[1, 2], then once per further branch and panel together while its rule
-runs.  The two branches of a level stay in separate calls, which keeps
-the integrand's intermediates as small as a one-branch call.  Branch
-sums, panel dot products, accumulation order and stopping rules are those
-of each rule run on its own, so values and errors are the same bit for bit.
+nodes of every rule still running and calls f once per step.  The first
+step is wide: the tanh-sinh rule asks for the centre and levels 0-3, the
+tail for its six panels [1, 2] ... [32, 64], both Gauss-Legendre rules.
+Most integrals stop within that step (an entry's error is inf until level
+1, so none stops before level 2), and a rule reads a level's or panel's
+values only once it reaches it: the values past the point where every
+entry stops are dropped unread.  Each later step holds one branch of the
+next tanh-sinh level, x -> 1 then x -> 0, and one tail panel, while the
+rules run.  So ``integrate_semiaxis`` makes one integrand call for most
+integrands, and f must accept every node of the first step, up to
+tau = 64, whether or not the rules go that far.  Branch sums, panel dot
+products, accumulation order and stopping rules are those of each rule run
+on its own, so values and errors are the same bit for bit.
 
 Errors.  A rule that fails raises ``QuadratureError``.  When both rules of
 ``integrate_semiaxis`` fail, the unit-interval rule's error is raised, as
@@ -84,25 +86,31 @@ def _ts_branches(lam, h, odd_only):
 
 
 _MAX_LEVEL = 11  # halvings of the tanh-sinh step after the first level
+_FIRST_LEVEL = 3  # the first step holds tanh-sinh levels 0.._FIRST_LEVEL
+_FIRST_PANELS = 6  # the first step holds the tail panels [1, 2] ... [32, 64]
 
 
 def _unit_rule(lam, tol):
     """Step generator of the tanh-sinh rule for int_0^1 x^lam f(x) dx."""
     if lam <= -1.0:
         raise ValueError("weight exponent must satisfy lam > -1")
-    first = [_ts_branches(lam, 0.5 ** (level + 1), level > 0) for level in range(3)]
-    # the centre t = 0 -> x = 1/2, then levels 0-2, two branches each
-    vals = yield [np.array([0.5])] + [x for level in first for x, _ in level]
-    center = 0.5 ** lam * vals[0][..., 0] * 0.25 * np.pi
-    sums = []
-    for i, level in enumerate(first):
+    first = [_ts_branches(lam, 0.5 ** (level + 1), level > 0) for level in range(_FIRST_LEVEL + 1)]
+    # the centre t = 0 -> x = 1/2, then the first levels, two branches each;
+    # a branch's values are read only once the rule reaches its level
+    center, *pending = yield [np.array([0.5])] + [x for level in first for x, _ in level]
+
+    def level_sum(level, h):
         total = 0.0
-        for (_, w), v in zip(level, vals[1 + 2 * i: 3 + 2 * i]):
+        branches = first[level] if level <= _FIRST_LEVEL else _ts_branches(lam, h, odd_only=True)
+        for x, w in branches:
+            v = pending.pop(0) if pending else (yield [x])[0]
             total += np.sum(w * v, axis=-1)
-        sums.append(total)
-    del vals, v
+            del v       # the step's values must not outlive it
+        return total
+
     h = 0.5
-    acc = center + sums[0]
+    acc = 0.5 ** lam * center[..., 0] * 0.25 * np.pi + (yield from level_sum(0, h))
+    del center
     value = h * acc
     # err holds the last level difference until an entry stops, then its estimate
     err = np.full(np.shape(value), np.inf)
@@ -111,15 +119,7 @@ def _unit_rule(lam, tol):
         if not active.any():
             break
         h *= 0.5
-        if level < len(first):
-            total = sums[level]
-        else:
-            total = 0.0
-            for x, w in _ts_branches(lam, h, odd_only=True):
-                v, = yield [x]
-                total += np.sum(w * v, axis=-1)
-                del v       # the step's values must not outlive it
-        acc = acc + total
+        acc = acc + (yield from level_sum(level, h))
         new_value = h * acc
         if not np.isfinite(new_value[active]).all():
             raise QuadratureError("unit-interval rule hit a non-finite integrand value")
@@ -145,15 +145,24 @@ def _gl_sum(half, w, vals):
     return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
 
 
+def _gl_panel(a):
+    """(half width, 40-point nodes, 20-point nodes) of the panel [a, 2a]."""
+    b = 2.0 * a
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half, mid + half * _GL_HI[0], mid + half * _GL_LO[0]
+
+
 def _tail_rule(alpha, tol):
     """Step generator of the Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau."""
+    first = [_gl_panel(2.0 ** i) for i in range(_FIRST_PANELS)]
+    # a panel's values are read only once the rule reaches it
+    pending = yield [x for _, x_hi, x_lo in first for x in (x_hi, x_lo)]
     tail_val, tail_err, prev_mag, active = 0.0, 0.0, np.inf, None
     a = 1.0
     while a < 16384.0 and (active is None or active.any()):
         b = 2.0 * a
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x_hi, x_lo = mid + half * _GL_HI[0], mid + half * _GL_LO[0]
-        v_hi, v_lo = yield [x_hi, x_lo]
+        half, x_hi, x_lo = first.pop(0) if first else _gl_panel(a)
+        v_hi, v_lo = (pending.pop(0), pending.pop(0)) if pending else (yield [x_hi, x_lo])
         hi = _gl_sum(half, _GL_HI[1], x_hi ** alpha * v_hi)
         lo = _gl_sum(half, _GL_LO[1], x_lo ** alpha * v_lo)
         del v_hi, v_lo      # the step's values must not outlive it

@@ -63,7 +63,10 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None
 def _stress_value(cfg, comp, r, profiles):
     t0, t1 = profiles
     scale = cfg.k ** (cfg.d + 1)
-    vev = scale * (t0 + renorm_scale_constant(cfg.kappa_over_k) * t1)
+    with np.errstate(over="ignore"):    # an overflow is the ValueError below
+        vev = scale * (t0 + renorm_scale_constant(cfg.kappa_over_k) * t1)
+    if not np.isfinite(vev).all():
+        raise ValueError("the stress value k^(d+1) (t0 + M t1) overflows the float range")
     return StressValue(comp=comp, r=r, t0=t0, t1=t1, vev=vev)
 
 

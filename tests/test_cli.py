@@ -182,6 +182,8 @@ def test_bad_xi_exits_2(capsys):
     ["stress", "--d", "3", "--k", "1e100"],
     ["stress", "--d", "1", "--k", "1e-320", "--r", "0", "5", "2", "--format", "json"],
     ["stress", "--d", "1", "--k", "1e-10", "--r", "0", "1e300", "2"],
+    # k^4 = 1e308 passes, but the r = 5 vev overflows
+    ["stress", "--d", "3", "--k", "1e77", "--r", "0", "5", "2", "--format", "json"],
     ["asympt", "--d", "2", "--xi=-inf"],
     ["asympt", "--d", "2", "--r", "5", "nan", "2"],
     ["energy", "--d", "1", "--tol", "nan"],

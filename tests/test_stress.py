@@ -105,9 +105,20 @@ def test_split_reconstructs_direct_value(xi):
     lambda: stress_component(HarmonicConfig(d=3, k=1e100, kappa=1e100), "tt", 1.0),
     lambda: HarmonicConfig(d=1, k=1e-320, kappa=1e-320),
     lambda: HarmonicConfig(d=3, k=1e-90),
+    # M = gamma_E + 2 ln(2 kappa/k) multiplies t1: kappa/k must not overflow,
+    # underflow to 0 or double past the float range
+    lambda: stress_component(HarmonicConfig(d=2, k=1e-50, kappa=1e300), "tt", 0.5),
+    lambda: stress_component(HarmonicConfig(d=3, k=1e-50, kappa=1e300), "tt", 0.5),
+    lambda: HarmonicConfig(d=1, k=1e100, kappa=1e-300),
+    lambda: HarmonicConfig(d=1, kappa=1e308),
+    # k^4 = 1e308 is finite, but its product with t0 at r = 5 is not
+    lambda: stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", 5.0),
+    lambda: stress_grid(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", [0.0, 5.0]),
 ], ids=["k_nan", "kappa_inf", "xi_inf", "xi_nan", "r_nan", "r_inf",
         "tol_nan", "component_r_inf", "energy_tol_nan", "k_scale_overflow",
-        "k_scale_underflow_d1", "k_scale_underflow_d3"])
+        "k_scale_underflow_d1", "k_scale_underflow_d3", "kappa_over_k_overflow_d2",
+        "kappa_over_k_overflow_d3", "kappa_over_k_underflow", "log_argument_overflow",
+        "vev_overflow", "grid_vev_overflow"])
 def test_nonfinite_input_is_a_validation_error(call):
     # not a QuadratureError and not a silent NaN
     with pytest.raises(ValueError):
@@ -119,6 +130,12 @@ def test_scale_at_the_edge_of_the_float_range_is_accepted():
     big = stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", 0.5)
     unit = stress_component(HarmonicConfig(d=3), "tt", 0.5)
     assert big.t0 == unit.t0 and math.isfinite(big.vev)
+
+
+def test_log_scale_constant_at_the_edge_of_the_float_range_is_accepted():
+    # 2 kappa/k = 1.6e308 is finite, and so is M
+    cfg = HarmonicConfig(d=1, kappa=8e307)
+    assert math.isfinite(stress_component(cfg, "tt", 0.5).vev)
 
 
 def test_d1_rr_square_part_origin():

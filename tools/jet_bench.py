@@ -6,12 +6,15 @@ Times ``sinhc_jet`` at scales 1 and 2 and ``Jet.__mul__`` at orders 2..8 on
 16 and on 1000 nodes spread over the unit interval, where the tanh-sinh rule
 puts the nodes of every tau-integral's unit piece: at scale 1 every node
 takes the even-series branch of ``sinhc_jet``, at scale 2 about half do.
-Each tree runs in its own interpreter with its ``src`` on PYTHONPATH,
-``ROUNDS`` times per node count, the first tree of each round alternating
-between old and new; a kernel's figure is the median over all rounds of
-``RUNS`` timed runs of ``CALLS`` calls each.  Prints one JSON object: per
-kernel, node count and order the median microseconds per call in each tree
-and old / new.
+Each tree runs in its own interpreter with its ``src`` on PYTHONPATH.  A
+round runs both trees back to back, ``ROUNDS`` rounds per node count, the
+first tree of each round alternating between old and new; in each tree a
+kernel's figure is the median of ``RUNS`` timed runs of ``CALLS`` calls
+each.  A kernel's old / new ratio is taken within each round, so a drift of
+the host between rounds cancels, and is reported as the median and
+quartiles over the rounds.  Prints one JSON object: per kernel, node count
+and order the median microseconds per call in each tree over all rounds
+and the quartiles of the per-round old / new ratios.
 Stdlib and numpy only.
 """
 
@@ -24,9 +27,9 @@ import sys
 
 NODES = (16, 1000)   # per-call overhead, then the array work
 ORDERS = range(2, 9)
-RUNS = 10
+RUNS = 5
 CALLS = 20
-ROUNDS = 4
+ROUNDS = 12
 
 # run inside each tree's interpreter: prints {kernel label: [us per call, ...]}
 # Jets are built through Jet.variable, and sinhc_jet is called as
@@ -88,19 +91,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
     kernels = []
     for nodes in NODES:
-        samples = [{}, {}]
+        rounds = []     # per round: [old samples, new samples] by kernel label
         for round_ in range(ROUNDS):
+            samples = [None, None]
             for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
-                for label, times in measure(args.trees[side], nodes).items():
-                    samples[side].setdefault(label, []).extend(times)
-        for label in samples[0]:
+                samples[side] = measure(args.trees[side], nodes)
+            rounds.append(samples)
+        for label in rounds[0][0]:
             kernel, order = label.split("|")
-            old, new = (statistics.median(s[label]) for s in samples)
+            old, new = (statistics.median(t for r in rounds for t in r[side][label])
+                        for side in (0, 1))
+            ratios = [statistics.median(r[0][label]) / statistics.median(r[1][label])
+                      for r in rounds]
+            q1, median, q3 = statistics.quantiles(ratios, n=4)
             kernels.append({"kernel": kernel, "nodes": nodes, "order": int(order),
                             "old_us": round(old, 1), "new_us": round(new, 1),
-                            "old_over_new": round(old / new, 2)})
+                            "old_over_new": {"q1": round(q1, 3), "median": round(median, 3),
+                                             "q3": round(q3, 3)}})
     kernels.sort(key=lambda row: (row["kernel"], row["nodes"], row["order"]))
-    print(json.dumps({"nodes": NODES, "runs_per_tree": ROUNDS * RUNS,
+    print(json.dumps({"nodes": NODES, "rounds": ROUNDS, "runs_per_round": RUNS,
                       "calls_per_run": CALLS, "kernels": kernels}, indent=1))
     return 0
 
