@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,8 @@ from . import __version__
 from .asymptotics import (VChartFamily,
                           asymptotic_match_report, large_r_expansion,
                           small_r_expansion)
-from .continuation import build_P_polynomials, renorm_scale_constant
+from .continuation import (build_P_polynomials, minimal_derivative_count,
+                           renorm_scale_constant)
 from .energy import (In_quadrature, In_zeta, boundary_energy_scan,
                      bulk_energy_quadrature, bulk_energy_zeta)
 from .kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig, heat_trace,
@@ -182,9 +182,9 @@ def _base_config(args, d) -> dict:
     }
 
 
-def _parse_xi(text: str) -> Callable[[int], float]:
+def _parse_xi(text: str, d: int) -> float:
     if text == "conformal":
-        return xi_conformal
+        return xi_conformal(d)
     try:
         value = float(text)
     except ValueError:
@@ -192,7 +192,7 @@ def _parse_xi(text: str) -> Callable[[int], float]:
             "xi must be a real number or the word 'conformal'") from None
     if not math.isfinite(value):
         raise ValidationFailure("xi must be finite")
-    return lambda d: value
+    return value
 
 
 def _radius_grid(args) -> np.ndarray:
@@ -206,19 +206,21 @@ def _radius_grid(args) -> np.ndarray:
         raise ValidationFailure("r_min must be nonnegative")
     if r_max < r_min:
         raise ValidationFailure("r_max must be >= r_min")
+    if r_steps > 10000:     # each radius costs about 80 KB at d = 3
+        raise ValidationFailure("r_steps (STEPS) must be at most 10000")
     if r_steps == 1:
         return np.array([r_min])
     return np.linspace(r_min, r_max, r_steps)
 
 
-def _harmonic_config(args, xi_of_d) -> HarmonicConfig:
+def _harmonic_config(args, xi) -> HarmonicConfig:
     _positive("kappa_over_k", args.kappa_over_k)
     _positive("tol", args.tol)
     k = getattr(args, "k", None)
     k = 1.0 if k is None else k
     _positive("k", k)
     return HarmonicConfig(d=args.d, k=k, kappa=args.kappa_over_k * k,
-                          xi=xi_of_d(args.d))
+                          xi=xi)
 
 
 # --------------------------------------------------------------------------
@@ -247,8 +249,7 @@ def _run_energy(args) -> int:
 
 
 def _run_stress(args) -> int:
-    xi_of_d = _parse_xi(args.xi)
-    cfg = _harmonic_config(args, xi_of_d)
+    cfg = _harmonic_config(args, _parse_xi(args.xi, args.d))
     grid = _radius_grid(args)
     if not np.isfinite(grid / cfg.k).all():
         raise ValidationFailure("r/k must be finite")
@@ -277,8 +278,7 @@ def _run_stress(args) -> int:
 
 
 def _run_asympt(args) -> int:
-    xi_of_d = _parse_xi(args.xi)
-    cfg = _harmonic_config(args, xi_of_d)
+    cfg = _harmonic_config(args, _parse_xi(args.xi, args.d))
     grid = _radius_grid(args)
     if np.any(grid <= 0.0):
         raise ValidationFailure("asympt radii must be > 0")
@@ -501,7 +501,7 @@ def _c08_continuation_uniqueness():
     worst_n = 0.0
     worst_pipe = 0.0
     for d in (1, 2, 3):
-        minimal = {1: 2, 2: 2, 3: 3}[d]
+        minimal = minimal_derivative_count(d)
         scale = renorm_scale_constant(1.0)
         for i, r in enumerate(radii):
             for j, xi in enumerate(xis):

@@ -21,27 +21,24 @@ integral of its own on the same nodes, with its own stopping rule and
 error estimate, so it gets exactly the value of a call on that entry
 alone.  A scalar return value is constant along the nodes.
 
-Step schedule.  Each rule runs as a generator that yields the nodes of its
-next step and receives f's values on them; ``_step_together`` joins the
-nodes of every rule still running and calls f once per step.  The first
-step is wide: the tanh-sinh rule asks for the centre and levels 0-3, the
-tail for its six panels [1, 2] ... [32, 64], both Gauss-Legendre rules.
-Most integrals stop within that step (an entry's error is inf until level
-1, so none stops before level 2), and a rule reads a level's or panel's
-values only once it reaches it: the values past the point where every
-entry stops are dropped unread.  Each later step holds one branch of the
-next tanh-sinh level, x -> 1 then x -> 0, and one tail panel, while the
-rules run.  So ``integrate_semiaxis`` makes one integrand call for most
-integrands, and f must accept every node of the first step, up to
-tau = 64, whether or not the rules go that far.  Branch sums, panel dot
-products, accumulation order and stopping rules are those of each rule run
-on its own, so values and errors are the same bit for bit.
+Call schedule.  The first integrand call is wide: it holds the centre
+x = 1/2, the two branches of tanh-sinh levels 0-3 and, for
+``integrate_semiaxis``, the six tail panels [1, 2] ... [32, 64], both
+Gauss-Legendre rules.  Most integrals stop within it (an entry's error is
+inf until level 1, so none stops before level 2), and a rule reads a
+level's or panel's values only once it reaches it: the values past the
+point where every entry stops are dropped unread.  Then the tanh-sinh rule
+runs to its end, calling f once per further branch, x -> 1 then x -> 0,
+and after it the tail rule, once per further panel.  So most integrals
+take one integrand call, and f must accept every node of the first call,
+up to tau = 64, whether or not the rules go that far.  Branch sums, panel
+dot products, accumulation order and stopping rules are those of each rule
+run on its own, so values and errors do not depend on the schedule.
 
-Errors.  A rule that fails raises ``QuadratureError``.  When both rules of
-``integrate_semiaxis`` fail, the unit-interval rule's error is raised, as
-if the unit piece were integrated first; a tail failure is raised once
-the unit rule has finished without one.  An exception raised by f itself
-propagates from the call that raised it.
+Errors.  A rule that fails raises ``QuadratureError``.  The tail rule of
+``integrate_semiaxis`` runs only once the unit-interval rule has finished,
+so when both would fail, the unit-interval error is raised.  An exception
+raised by f itself propagates from the call that raised it.
 
 Both return ``(value, err_estimate)`` with a deliberately conservative
 estimate (observed true error stays below it on the golden integrals).
@@ -86,31 +83,37 @@ def _ts_branches(lam, h, odd_only):
 
 
 _MAX_LEVEL = 11  # halvings of the tanh-sinh step after the first level
-_FIRST_LEVEL = 3  # the first step holds tanh-sinh levels 0.._FIRST_LEVEL
-_FIRST_PANELS = 6  # the first step holds the tail panels [1, 2] ... [32, 64]
+_FIRST_LEVEL = 3  # the first call holds tanh-sinh levels 0.._FIRST_LEVEL
+_FIRST_PANELS = 6  # the first call holds the tail panels [1, 2] ... [32, 64]
 
 
-def _unit_rule(lam, tol):
-    """Step generator of the tanh-sinh rule for int_0^1 x^lam f(x) dx."""
-    if lam <= -1.0:
-        raise ValueError("weight exponent must satisfy lam > -1")
-    first = [_ts_branches(lam, 0.5 ** (level + 1), level > 0) for level in range(_FIRST_LEVEL + 1)]
-    # the centre t = 0 -> x = 1/2, then the first levels, two branches each;
-    # a branch's values are read only once the rule reaches its level
-    center, *pending = yield [np.array([0.5])] + [x for level in first for x, _ in level]
+def _call(f, nodes):
+    """f's values on each array of nodes, from one call on all of them."""
+    x = np.concatenate(nodes)
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape[-1:] != x.shape:      # a scalar f is constant along the nodes
+        vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
+    ends = np.cumsum([n.size for n in nodes]).tolist()
+    return [vals[..., end - n.size:end] for n, end in zip(nodes, ends)]
+
+
+def _unit_rule(f, lam, tol, center, first):
+    """Tanh-sinh rule for int_0^1 x^lam f(x) dx.  center holds f(1/2) and
+    first the (w, f(x)) of each branch of levels 0.._FIRST_LEVEL, x -> 1
+    then x -> 0; f is called once per further branch."""
 
     def level_sum(level, h):
         total = 0.0
-        branches = first[level] if level <= _FIRST_LEVEL else _ts_branches(lam, h, odd_only=True)
-        for x, w in branches:
-            v = pending.pop(0) if pending else (yield [x])[0]
-            total += np.sum(w * v, axis=-1)
-            del v       # the step's values must not outlive it
+        if level <= _FIRST_LEVEL:
+            for w, v in first[2 * level:2 * level + 2]:
+                total += np.sum(w * v, axis=-1)
+        else:
+            for x, w in _ts_branches(lam, h, odd_only=True):
+                total += np.sum(w * _call(f, [x])[0], axis=-1)
         return total
 
     h = 0.5
-    acc = 0.5 ** lam * center[..., 0] * 0.25 * np.pi + (yield from level_sum(0, h))
-    del center
+    acc = 0.5 ** lam * center[..., 0] * 0.25 * np.pi + level_sum(0, h)
     value = h * acc
     # err holds the last level difference until an entry stops, then its estimate
     err = np.full(np.shape(value), np.inf)
@@ -119,7 +122,7 @@ def _unit_rule(lam, tol):
         if not active.any():
             break
         h *= 0.5
-        acc = acc + (yield from level_sum(level, h))
+        acc = acc + level_sum(level, h)
         new_value = h * acc
         if not np.isfinite(new_value[active]).all():
             raise QuadratureError("unit-interval rule hit a non-finite integrand value")
@@ -145,27 +148,26 @@ def _gl_sum(half, w, vals):
     return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
 
 
+@functools.lru_cache(maxsize=16)
 def _gl_panel(a):
-    """(half width, 40-point nodes, 20-point nodes) of the panel [a, 2a]."""
+    """(half width, 40-point nodes, 20-point nodes) of [a, 2a]; shared, never written."""
     b = 2.0 * a
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half, mid + half * _GL_HI[0], mid + half * _GL_LO[0]
 
 
-def _tail_rule(alpha, tol):
-    """Step generator of the Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau."""
-    first = [_gl_panel(2.0 ** i) for i in range(_FIRST_PANELS)]
-    # a panel's values are read only once the rule reaches it
-    pending = yield [x for _, x_hi, x_lo in first for x in (x_hi, x_lo)]
+def _tail_rule(f, alpha, tol, first):
+    """Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau.  first holds
+    f's values on the 40- and 20-point nodes of each of the first call's
+    panels; f is called once per further panel."""
     tail_val, tail_err, prev_mag, active = 0.0, 0.0, np.inf, None
-    a = 1.0
+    a, panel = 1.0, 0
     while a < 16384.0 and (active is None or active.any()):
         b = 2.0 * a
-        half, x_hi, x_lo = first.pop(0) if first else _gl_panel(a)
-        v_hi, v_lo = (pending.pop(0), pending.pop(0)) if pending else (yield [x_hi, x_lo])
+        half, x_hi, x_lo = _gl_panel(a)
+        v_hi, v_lo = first[panel] if panel < len(first) else _call(f, [x_hi, x_lo])
         hi = _gl_sum(half, _GL_HI[1], x_hi ** alpha * v_hi)
         lo = _gl_sum(half, _GL_LO[1], x_lo ** alpha * v_lo)
-        del v_hi, v_lo      # the step's values must not outlive it
         if active is None:
             active = np.ones(np.shape(hi), dtype=bool)
         if not np.isfinite(hi[active]).all():
@@ -179,55 +181,34 @@ def _tail_rule(alpha, tol):
         tail_err = np.where(active, tail_err + abs(hi - lo) + bound, tail_err)
         active &= ~done
         prev_mag = np.where(mag > 0.0, mag, prev_mag)
-        a = b
+        a, panel = b, panel + 1
     if active.any():
         raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
     return tail_val, tail_err
 
 
-def _step_together(f, rules):
-    """Run step generators side by side, calling f once per step.
-
-    Each step concatenates the nodes that the running rules yield and
-    sends each rule f's values on its own nodes.  Returns the rules'
-    results in order.  A rule's ``QuadratureError`` is raised once no
-    earlier rule is running, so an earlier rule's error wins.
-    """
-    asks = {i: next(rule) for i, rule in enumerate(rules)}
-    results, failed = [None] * len(rules), {}
-    while asks:
-        x = np.concatenate([nodes for ask in asks.values() for nodes in ask])
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape[-1:] != x.shape:      # a scalar f is constant along the nodes
-            vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
-        start = 0
-        for i, ask in list(asks.items()):
-            parts = []
-            for nodes in ask:
-                parts.append(vals[..., start:start + nodes.size])
-                start += nodes.size
-            try:
-                asks[i] = rules[i].send(parts)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del asks[i]
-            except QuadratureError as exc:
-                failed[i] = exc
-                del asks[i]
-        del vals, parts     # free this step's values before the next call of f
-        if failed and min(failed) < min(asks, default=len(rules)):
-            raise failed[min(failed)]
-    return results
+def _first_call(f, lam, panels):
+    """(f(1/2), the (w, f(x)) of each first-level branch, the (40-point,
+    20-point) values of the first `panels` tail panels) from one call of f."""
+    if lam <= -1.0:
+        raise ValueError("weight exponent must satisfy lam > -1")
+    branches = [b for level in range(_FIRST_LEVEL + 1)
+                for b in _ts_branches(lam, 0.5 ** (level + 1), level > 0)]
+    tail = [x for i in range(panels) for x in _gl_panel(2.0 ** i)[1:]]
+    center, *vals = _call(f, [np.array([0.5])] + [x for x, _ in branches] + tail)
+    tail = vals[len(branches):]
+    return center, [(w, v) for (_, w), v in zip(branches, vals)], list(zip(tail[::2], tail[1::2]))
 
 
 def integrate_unit_interval(f, lam, tol=1e-12):
     """int_0^1 x^lam f(x) dx, lam > -1; f elementwise over node arrays."""
-    (result,) = _step_together(f, [_unit_rule(lam, tol)])
-    return result
+    center, first, _ = _first_call(f, lam, 0)
+    return _unit_rule(f, lam, tol, center, first)
 
 
 def integrate_semiaxis(integrand, alpha, tol=1e-11):
     """int_0^inf tau^alpha integrand(tau) dtau, alpha > -1; see module docstring."""
-    (unit_val, unit_err), (tail_val, tail_err) = _step_together(
-        integrand, [_unit_rule(alpha, 0.5 * tol), _tail_rule(alpha, tol)])
+    center, first, tail = _first_call(integrand, alpha, _FIRST_PANELS)
+    unit_val, unit_err = _unit_rule(integrand, alpha, 0.5 * tol, center, first)
+    tail_val, tail_err = _tail_rule(integrand, alpha, tol, tail)
     return (unit_val + tail_val)[()], (unit_err + tail_err)[()]

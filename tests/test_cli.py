@@ -251,7 +251,10 @@ def test_version_flag(capsys):
     (["stress", "--d", "1", "--r", "0", "5", "inf"], "finite integer >= 1"),
     (["stress", "--d", "1", "--r", "0", "5", "2.7"], "finite integer >= 1"),
     (["asympt", "--d", "1", "--r", "0", "5", "2"], "radii must be > 0"),
-], ids=["steps_inf", "steps_fraction", "asympt_radius_0"])
+    (["stress", "--d", "1", "--r", "0", "5", "1e12"], "at most 10000"),
+    (["asympt", "--d", "3", "--r", "1", "5", "10001"], "at most 10000"),
+], ids=["steps_inf", "steps_fraction", "asympt_radius_0", "stress_steps_huge",
+        "asympt_steps_huge"])
 def test_bad_radius_grid_exits_2(capsys, argv, constraint):
     code, out, err = run(capsys, *argv)
     assert code == 2

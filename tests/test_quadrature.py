@@ -115,11 +115,11 @@ def test_stacked_nan_entry_raises():
         integrate_semiaxis(stacked, 0.0, tol=1e-10)
 
 
-# -- the sequential rules as they ran before the stepped driver -------------
-# Each rule called f on its own, once per tanh-sinh branch and once per
-# Gauss-Legendre rule.  The stepped rules must return these values and
-# errors bit for bit.  Both references also return how far they ran: the
-# last tanh-sinh level and the number of tail panels.
+# -- the rules with no shared first call ------------------------------------
+# Each rule calls f on its own, once per tanh-sinh branch and once per
+# Gauss-Legendre rule.  The rules with their wide first call must return
+# these values and errors bit for bit.  Both references also return how far
+# they ran: the last tanh-sinh level and the number of tail panels.
 
 _REF_MAX_LEVEL = 11
 _REF_GL_HI = np.polynomial.legendre.leggauss(40)
@@ -284,9 +284,14 @@ def test_one_integrand_call_per_step(name, alpha):
     _, _, level, panels = _ref_semiaxis(alpha, _INTEGRANDS[name], _TOL)
     integrate_semiaxis(counted, alpha, _TOL)
     assert len(calls) <= 1 + max(2 * (level - 2), panels - 1)
+    # one wide first call (levels 0-3, panels up to tau = 64), then one call
+    # per further tanh-sinh branch and, once that rule ends, per further panel
+    assert len(calls) == 1 + 2 * max(level - 3, 0) + max(panels - 6, 0)
     calls.clear()
     integrate_unit_interval(counted, alpha, _TOL)
     assert len(calls) <= 1 + 2 * (_ref_unit(_INTEGRANDS[name], alpha, _TOL)[2] - 2)
+    level = _ref_unit(_INTEGRANDS[name], alpha, _TOL)[2]
+    assert len(calls) == 1 + 2 * max(level - 3, 0)
 
 
 def _kink_unit_then(tail):

@@ -3,11 +3,11 @@
     python3 tools/cli_diff.py OLD_TREE NEW_TREE
 
 Runs 29 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON
-quantizer), 18 ``asympt``, 3 ``energy`` requests, ``selftest`` and 5 requests that fail
-(one quadrature failure, exit 3, and four rejected inputs, exit 2: a non-finite radius,
-a zero radius for ``asympt``, a k whose k^(d+1) overflows, and an ``--output`` that is
-a directory) with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of stderr
-only the final line counts, the JSON error record of a failed request; the warnings
+quantizer), 18 ``asympt``, 3 ``energy`` requests, ``selftest`` and 6 requests that fail
+(one quadrature failure, exit 3, and five rejected inputs, exit 2: a non-finite radius,
+a zero radius for ``asympt``, a k whose k^(d+1) overflows, an ``--output`` that is a
+directory, and 1e12 radii) with each tree's ``src`` on PYTHONPATH, two requests at a
+time.  Of stderr only the final line counts, the JSON error record of a failed request; the warnings
 before it may come in any order.  Per request it prints "byte-identical" or a changed exit code or error
 record and each changed cell ([row key] column: old -> new |delta| and |delta|/|old|,
 keyed by the kind, r_power, has_log, r, d and criterion cells), added (+) and removed
@@ -42,7 +42,8 @@ def requests():
                ["stress", "--d", "1", "--r", "0", "nan", "11"],
                ["asympt", "--d", "2", "--r", "0", "5", "3"],
                ["stress", "--d", "3", "--k", "1e100"],
-               ["energy", "--d", "1", "--output", "."]])
+               ["energy", "--d", "1", "--output", "."],
+               ["stress", "--d", "1", "--r", "0", "5", "1e12"]])
 
 
 def run(tree, argv):
