@@ -16,6 +16,7 @@ integral in the package), and the scan of would-be surface terms over
 growing enclosing balls.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -88,6 +89,8 @@ def In_quadrature(n, s, tol=1e-11):
     """int_0^inf tau^(s-1) / sinh^n(tau) dtau in the convergent region s > n."""
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     if s <= n:
         raise ValueError("integral diverges at tau = 0 for s <= n; use In_zeta")
     n = int(n)
@@ -107,6 +110,8 @@ def In_zeta(n, s):
     """
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     n = int(n)
     if n <= 2:
         if abs(s - round(s)) < 1e-12 and round(s) <= 0:
@@ -152,6 +157,16 @@ def _degeneracy_power_coeffs(d):
     return c / (2.0 ** (d - 1) * math.factorial(d - 1))
 
 
+@functools.lru_cache(maxsize=8)
+def _spectral_levels(d, terms):
+    """Read-only levels x = 2m + d and their degeneracies, m < terms; they
+    depend on (d, terms) alone, so each table is built once."""
+    x = 2.0 * np.arange(terms, dtype=float) + d
+    degeneracy = np.polyval(_degeneracy_power_coeffs(d), x)
+    x.flags.writeable = degeneracy.flags.writeable = False
+    return x, degeneracy
+
+
 def spectral_trace_oracle(d, s, terms=20000, tol=1e-12):
     """Sum of binom(m+d-1, d-1) (2m+d)^-s over the oscillator levels.
 
@@ -164,13 +179,12 @@ def spectral_trace_oracle(d, s, terms=20000, tol=1e-12):
     if int(terms) != terms or terms < 1:
         raise ValueError("terms must be a positive integer")
     d, terms = int(d), int(terms)
-    if s <= d:
-        raise ValueError("spectral sum converges only for s > d")
+    if not d < s < math.inf:
+        raise ValueError("spectral sum converges only for finite s > d")
     c = _degeneracy_power_coeffs(d)
     powers = np.arange(len(c) - 1, -1, -1, dtype=float)
-    m = np.arange(terms, dtype=float)
-    x = 2.0 * m + d
-    head = float(np.sum(np.polyval(c, x) * x ** (-s)))
+    x, degeneracy = _spectral_levels(d, terms)
+    head = float(np.sum(degeneracy * x ** (-s)))
     xM = 2.0 * terms + d
     integral = float(np.sum(c * xM ** (powers - s + 1.0) / (2.0 * (s - powers - 1.0))))
     f0 = float(np.sum(c * xM ** (powers - s)))
@@ -207,12 +221,12 @@ def boundary_energy_scan(d, u, ell_values, tol=1e-10):
     if int(d) != d or d < 1:
         raise ValueError("dimension d must be a positive integer")
     d = int(d)
-    if u <= d - 3:
-        raise ValueError("weight exponent needs u > d-3")
+    if not d - 3 < u < math.inf:
+        raise ValueError("weight exponent needs finite u > d-3")
     lam = 0.5 * (u + 1.0 - d)
     ell = np.array([float(e) for e in ell_values])[:, None]
-    if np.any(ell < 0.0):
-        raise ValueError("ball radius must be nonnegative")
+    if not np.all((ell >= 0.0) & (ell < np.inf)):
+        raise ValueError("ball radius must be finite and nonnegative")
 
     def smooth(tau):
         tau = np.asarray(tau, dtype=float)

@@ -25,17 +25,22 @@ Call schedule.  The first integrand call is wide: it holds the centre
 x = 1/2, the two branches of tanh-sinh levels 0-3 and, for
 ``integrate_semiaxis``, the six tail panels [1, 2] ... [32, 64], both
 Gauss-Legendre rules.  Most integrals stop within it (an entry's error is
-inf until level 1, so none stops before level 2), and a rule reads a
-level's or panel's values only once it reaches it: the values past the
-point where every entry stops are dropped unread.  Then the tanh-sinh rule
+inf until level 1, so none stops before level 2).  Then the tanh-sinh rule
 runs to its end, calling f once per further branch, x -> 1 then x -> 0,
-and after it the tail rule, once per further panel.  So most integrals
-take one integrand call, and f must accept every node of the first call,
-up to tau = 64, whether or not the rules go that far.  Branch sums, panel
-dot products, accumulation order and stopping rules are those of each rule
-run on its own, so values and errors do not depend on the schedule.
+and after it the tail rule, once per further panel.  The tanh-sinh rule
+reads a level's values only once it reaches it.  The tail rule takes its
+panels in blocks: the first call's six panels are one block, each further
+panel a block of one.  Over a block it finds each entry's stopping panel
+at once; the values past it are never read, and arithmetic on them raises
+no warning.  So most integrals take one integrand call, and f must accept
+every node of the first call, up to tau = 64, whether or not the rules go
+that far.  Branch sums, panel dot products, accumulation order and
+stopping rules are those of each rule run on its own, a level or a panel
+at a time, so values and errors do not depend on the schedule.
 
-Errors.  A rule that fails raises ``QuadratureError``.  The tail rule of
+Errors.  A weight exponent that is not finite and > -1, or a tolerance
+that is not finite and positive, raises ``ValueError`` before f is called.
+A rule that fails raises ``QuadratureError``.  The tail rule of
 ``integrate_semiaxis`` runs only once the unit-interval rule has finished,
 so when both would fail, the unit-interval error is raised.  An exception
 raised by f itself propagates from the call that raised it.
@@ -87,14 +92,12 @@ _FIRST_LEVEL = 3  # the first call holds tanh-sinh levels 0.._FIRST_LEVEL
 _FIRST_PANELS = 6  # the first call holds the tail panels [1, 2] ... [32, 64]
 
 
-def _call(f, nodes):
-    """f's values on each array of nodes, from one call on all of them."""
-    x = np.concatenate(nodes)
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape[-1:] != x.shape:      # a scalar f is constant along the nodes
-        vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
-    ends = np.cumsum([n.size for n in nodes]).tolist()
-    return [vals[..., end - n.size:end] for n, end in zip(nodes, ends)]
+def _call(f, x):
+    """f's values on the node array x, shape (..., *x.shape), from one call."""
+    vals = np.asarray(f(x.ravel()), dtype=float)
+    if vals.shape[-1:] != (x.size,):    # a scalar f is constant along the nodes
+        vals = np.broadcast_to(vals, vals.shape[:-1] + (x.size,))
+    return vals.reshape(vals.shape[:-1] + x.shape)
 
 
 def _unit_rule(f, lam, tol, center, first):
@@ -109,11 +112,11 @@ def _unit_rule(f, lam, tol, center, first):
                 total += np.sum(w * v, axis=-1)
         else:
             for x, w in _ts_branches(lam, h, odd_only=True):
-                total += np.sum(w * _call(f, [x])[0], axis=-1)
+                total += np.sum(w * _call(f, x), axis=-1)
         return total
 
     h = 0.5
-    acc = 0.5 ** lam * center[..., 0] * 0.25 * np.pi + level_sum(0, h)
+    acc = 0.5 ** lam * center * 0.25 * np.pi + level_sum(0, h)
     value = h * acc
     # err holds the last level difference until an entry stops, then its estimate
     err = np.full(np.shape(value), np.inf)
@@ -149,66 +152,98 @@ def _gl_sum(half, w, vals):
 
 
 @functools.lru_cache(maxsize=16)
-def _gl_panel(a):
-    """(half width, 40-point nodes, 20-point nodes) of [a, 2a]; shared, never written."""
+def _gl_block(p, count):
+    """(half widths, nodes) of `count` tail panels from [2^p, 2^(p+1)] on, a
+    row per panel: 40-point nodes, then 20-point nodes.  Shared, never written."""
+    a = 2.0 ** np.arange(p, p + count, dtype=float)
     b = 2.0 * a
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half, mid + half * _GL_HI[0], mid + half * _GL_LO[0]
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)
+    x = np.concatenate([mid + half[:, None] * _GL_HI[0], mid + half[:, None] * _GL_LO[0]], axis=1)
+    half.flags.writeable = x.flags.writeable = False
+    return half, x
 
 
 def _tail_rule(f, alpha, tol, first):
-    """Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau.  first holds
-    f's values on the 40- and 20-point nodes of each of the first call's
-    panels; f is called once per further panel."""
-    tail_val, tail_err, prev_mag, active = 0.0, 0.0, np.inf, None
-    a, panel = 1.0, 0
-    while a < 16384.0 and (active is None or active.any()):
-        b = 2.0 * a
-        half, x_hi, x_lo = _gl_panel(a)
-        v_hi, v_lo = first[panel] if panel < len(first) else _call(f, [x_hi, x_lo])
-        hi = _gl_sum(half, _GL_HI[1], x_hi ** alpha * v_hi)
-        lo = _gl_sum(half, _GL_LO[1], x_lo ** alpha * v_lo)
-        if active is None:
-            active = np.ones(np.shape(hi), dtype=bool)
-        if not np.isfinite(hi[active]).all():
-            raise QuadratureError(f"semiaxis panel [{a:g}, {b:g}] hit a non-finite integrand value")
-        mag = abs(hi)
-        done = active & (mag < 0.01 * tol) & (mag < prev_mag)
-        # geometric continuation bound for everything past this panel
-        ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
-        bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
-        tail_val = np.where(active, tail_val + hi, tail_val)
-        tail_err = np.where(active, tail_err + abs(hi - lo) + bound, tail_err)
-        active &= ~done
-        prev_mag = np.where(mag > 0.0, mag, prev_mag)
-        a, panel = b, panel + 1
-    if active.any():
-        raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
-    return tail_val, tail_err
+    """Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau in blocks:
+    first holds f's values on the first call's panels, one row each, and
+    each further panel is a block of one, from its own call of f.  Each
+    entry stops at its first done panel, as if the panels came one by one."""
+    shape = first.shape[:-2]
+    val, err, prev = np.zeros(shape), np.zeros(shape), np.full(shape, np.inf)
+    active = np.ones(shape, dtype=bool)
+    p, vals = 0, first
+    while True:
+        count = vals.shape[-2]
+        half, x = _gl_block(p, count)
+        with np.errstate(all="ignore"):     # past an entry's stop, values may be anything
+            g = x ** alpha * vals
+            hi = _gl_sum(half, _GL_HI[1], g[..., :40])
+            lo = _gl_sum(half, _GL_LO[1], g[..., 40:])
+            # each panel's previous magnitude: the last positive one before it
+            m = np.concatenate([prev[..., None], abs(hi)], axis=-1)
+            last = np.maximum.accumulate(np.where(m > 0.0, np.arange(count + 1), 0), axis=-1)
+            mag, prev_mag = m[..., 1:], np.take_along_axis(m, last[..., :-1], axis=-1)
+            done = (mag < 0.01 * tol) & (mag < prev_mag)
+            # geometric continuation bound for everything past the stopping panel
+            ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
+            bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
+            stop = np.where(done.any(axis=-1), done.argmax(axis=-1), count - 1)[..., None]
+            bad = active[..., None] & (np.arange(count) <= stop) & ~np.isfinite(hi)
+            if bad.any():
+                a = 2.0 ** (p + bad.reshape(-1, count).any(axis=0).argmax())
+                raise QuadratureError(f"semiaxis panel [{a:g}, {2.0 * a:g}] hit a non-finite integrand value")
+            sums = np.cumsum(np.concatenate([val[..., None], hi], axis=-1), axis=-1)
+            errs = np.cumsum(np.concatenate([err[..., None], abs(hi - lo)], axis=-1), axis=-1)
+            val = np.where(active, np.take_along_axis(sums, stop + 1, axis=-1)[..., 0], val)
+            err = np.where(active, np.take_along_axis(errs, stop + 1, axis=-1)[..., 0]
+                           + np.take_along_axis(bound, stop, axis=-1)[..., 0], err)
+        prev = np.take_along_axis(m, last[..., -1:], axis=-1)[..., 0]
+        active &= ~done.any(axis=-1)
+        p += count
+        if not active.any():
+            return val, err
+        if 2.0 ** p >= 16384.0:
+            raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
+        vals = _call(f, _gl_block(p, 1)[1])
 
 
-def _first_call(f, lam, panels):
-    """(f(1/2), the (w, f(x)) of each first-level branch, the (40-point,
-    20-point) values of the first `panels` tail panels) from one call of f."""
-    if lam <= -1.0:
-        raise ValueError("weight exponent must satisfy lam > -1")
-    branches = [b for level in range(_FIRST_LEVEL + 1)
-                for b in _ts_branches(lam, 0.5 ** (level + 1), level > 0)]
-    tail = [x for i in range(panels) for x in _gl_panel(2.0 ** i)[1:]]
-    center, *vals = _call(f, [np.array([0.5])] + [x for x, _ in branches] + tail)
-    tail = vals[len(branches):]
-    return center, [(w, v) for (_, w), v in zip(branches, vals)], list(zip(tail[::2], tail[1::2]))
+@functools.lru_cache(maxsize=2)
+def _first_nodes(panels):
+    """The first call's nodes, read-only: the centre, each branch of levels
+    0.._FIRST_LEVEL, then the rows of the first `panels` tail panels."""
+    branches = [np.exp(ln_x) for level in range(_FIRST_LEVEL + 1)
+                for ln_x in _ts_nodes(0.5 ** (level + 1), level > 0)[:2]]
+    x = np.concatenate([[0.5]] + branches + [_gl_block(0, panels)[1].ravel()])
+    x.flags.writeable = False
+    return x
+
+
+def _first_call(f, lam, tol, panels):
+    """(f(1/2), the (w, f(x)) of each first-level branch, f's values on the
+    rows of the first `panels` tail panels) from one call of f."""
+    if not -1.0 < lam < np.inf:
+        raise ValueError("weight exponent must be finite and satisfy lam > -1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
+    vals = _call(f, _first_nodes(panels))
+    first, end = [], 1
+    for level in range(_FIRST_LEVEL + 1):
+        for x, w in _ts_branches(lam, 0.5 ** (level + 1), level > 0):
+            first.append((w, vals[..., end:end + x.size]))
+            end += x.size
+    tail = vals[..., end:].reshape(vals.shape[:-1] + _gl_block(0, panels)[1].shape)
+    return vals[..., 0], first, tail
 
 
 def integrate_unit_interval(f, lam, tol=1e-12):
     """int_0^1 x^lam f(x) dx, lam > -1; f elementwise over node arrays."""
-    center, first, _ = _first_call(f, lam, 0)
+    center, first, _ = _first_call(f, lam, tol, 0)
     return _unit_rule(f, lam, tol, center, first)
 
 
 def integrate_semiaxis(integrand, alpha, tol=1e-11):
     """int_0^inf tau^alpha integrand(tau) dtau, alpha > -1; see module docstring."""
-    center, first, tail = _first_call(integrand, alpha, _FIRST_PANELS)
+    center, first, tail = _first_call(integrand, alpha, tol, _FIRST_PANELS)
     unit_val, unit_err = _unit_rule(integrand, alpha, 0.5 * tol, center, first)
     tail_val, tail_err = _tail_rule(integrand, alpha, tol, tail)
     return (unit_val + tail_val)[()], (unit_err + tail_err)[()]

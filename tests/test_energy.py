@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from casimir_harmonic import energy
 from casimir_harmonic.energy import (
     EnergyResult,
     In_quadrature,
@@ -293,3 +294,99 @@ def test_boundary_scan_validation():
         boundary_energy_scan(3, 0.0, [1.0])  # weight exponent needs u > d-3... (u=0 == d-3)
     with pytest.raises(ValueError):
         boundary_energy_scan(1, 0.0, [-1.0])
+
+
+# ---------------------------------------------------------------------------
+# Library-boundary validation: non-finite input is a ValueError raised before
+# any integrand is called, never a quadrature failure or a silent NaN.
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Counts the integrand calls of every energy integral."""
+    calls = []
+    real = energy.integrate_semiaxis
+
+    def counted(f, alpha, tol):
+        def g(t):
+            calls.append(len(t))
+            return f(t)
+        return real(g, alpha, tol)
+
+    monkeypatch.setattr(energy, "integrate_semiaxis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s,tol", [(math.nan, 1e-11), (math.inf, 1e-11), (-math.inf, 1e-11),
+                                   (3.5, math.nan), (3.5, 0.0), (3.5, math.inf)])
+def test_In_quadrature_rejects_non_finite_input(integrand_calls, s, tol):
+    with pytest.raises(ValueError):
+        In_quadrature(2, s, tol=tol)
+    assert integrand_calls == []
+
+
+@pytest.mark.parametrize("n,s", [(3, math.inf), (1, math.nan), (2, -math.inf), (4, math.nan)])
+def test_In_zeta_rejects_non_finite_s(n, s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        In_zeta(n, s)
+
+
+@pytest.mark.parametrize("d,s", [(1, math.nan), (1, math.inf), (3, math.nan)])
+def test_spectral_trace_oracle_rejects_non_finite_s(d, s):
+    with pytest.raises(ValueError):
+        spectral_trace_oracle(d, s)
+
+
+@pytest.mark.parametrize("u,ells,tol", [
+    (math.nan, [1.0], 1e-10), (math.inf, [1.0], 1e-10),
+    (0.5, [1.0, math.nan], 1e-10), (0.5, [math.inf], 1e-10),
+    (0.5, [1.0], math.nan), (0.5, [1.0], 0.0)])
+def test_boundary_energy_scan_rejects_non_finite_input(integrand_calls, u, ells, tol):
+    with pytest.raises(ValueError):
+        boundary_energy_scan(1, u, ells, tol=tol)
+    assert integrand_calls == []
+
+
+# ---------------------------------------------------------------------------
+# The oracle's level table.
+
+
+def _parent_oracle(d, s, terms=20000):
+    # the mode sum as it was before its table: levels and degeneracies
+    # rebuilt on every call
+    c = energy._degeneracy_power_coeffs(d)
+    powers = np.arange(len(c) - 1, -1, -1, dtype=float)
+    m = np.arange(terms, dtype=float)
+    x = 2.0 * m + d
+    head = float(np.sum(np.polyval(c, x) * x ** (-s)))
+    xM = 2.0 * terms + d
+    integral = float(np.sum(c * xM ** (powers - s + 1.0) / (2.0 * (s - powers - 1.0))))
+    f0 = float(np.sum(c * xM ** (powers - s)))
+    f1 = float(np.sum(c * 2.0 * (powers - s) * xM ** (powers - s - 1.0)))
+    return head + integral + 0.5 * f0 - f1 / 12.0
+
+
+def test_spectral_level_table_is_built_once_and_read_only():
+    energy._spectral_levels.cache_clear()
+    for d in (1, 2, 3):
+        spectral_trace_oracle(d, d + 1.5)
+        spectral_trace_oracle(d, d + 2.25)
+    info = energy._spectral_levels.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    for d in (1, 2, 3):
+        for table in energy._spectral_levels(d, 20000):
+            assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ds", [0.3, 1.0, 1.7, 2.95, 6.5])
+def test_spectral_trace_oracle_keeps_every_bit(d, ds):
+    s = d + ds
+    assert spectral_trace_oracle(d, s).hex() == _parent_oracle(d, s).hex()
+
+
+def test_spectral_table_still_warns_on_thin_tail():
+    energy._spectral_levels.cache_clear()
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match="raise terms"):
+            spectral_trace_oracle(2, 2.4, terms=50)

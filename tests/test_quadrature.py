@@ -1,6 +1,7 @@
 """Endpoint-weighted quadrature rules against analytic integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,3 +325,87 @@ def test_failure_messages(f, message):
     with pytest.raises(QuadratureError) as caught:
         integrate_semiaxis(f, 0.0, 1e-10)
     assert str(caught.value) == message
+
+
+# -- the tail rule's blocks ---------------------------------------------------
+# The first call's six panels [1, 2] ... [32, 64] are one block, each later
+# panel a block of one.  At tol 1e-9, exp(-a t) with a = 38 / 2^k first has
+# |panel sum| < 0.01 tol on panel k, the panel [2^k, 2^(k+1)].
+
+def _stops_at(k):
+    return lambda t: np.exp(-38.0 / 2.0 ** k * t)
+
+
+_BLOCK_EDGES = [_stops_at(k) for k in range(6)]
+# tail 0 on [2, 4] and [4, 8] between nonzero panels: the zero panel stops
+# the entry, and the magnitude carried past it skips the zeros
+_ZERO_GAP = lambda t: np.exp(-t) * ((t < 2.0) | (t > 8.0))   # noqa: E731
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 7])   # 7: in a one-panel block
+def test_entry_stops_at_each_block_edge(k):
+    f = _stops_at(k)
+    want = _ref_semiaxis(0.5, f, _TOL)
+    assert want[3] == k + 1
+    assert _same_bits(integrate_semiaxis(f, 0.5, _TOL), want[:2])
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_stacked_entries_stop_at_every_block_edge(alpha):
+    # six first-call stops, a zero gap and a stop at [128, 256], past tau = 64
+    entries = _BLOCK_EDGES + [_ZERO_GAP, _stops_at(7)]
+
+    def stacked(t):
+        return np.stack([f(t) for f in entries])
+
+    assert [_ref_semiaxis(alpha, f, _TOL)[3] for f in entries] in (
+        [1, 2, 3, 4, 5, 6, 2, 8], [1, 2, 3, 4, 5, 6, 2, 9])
+    got = integrate_semiaxis(stacked, alpha, _TOL)
+    assert _same_bits(got, _ref_semiaxis(alpha, stacked, _TOL)[:2])
+    for f, value, err in zip(entries, *got):
+        assert _same_bits((value, err), _ref_semiaxis(alpha, f, _TOL)[:2])
+
+
+def test_block_past_a_stop_raises_no_warning():
+    # inf on the first call's panels past tau = 9, which the entry never reaches
+    def f(t):
+        return np.where(t > 9.0, np.inf, np.exp(-8.0 * t))
+
+    want = _ref_semiaxis(0.5, f, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate_semiaxis(f, 0.5, 1e-6)
+    assert _same_bits(got, want[:2])
+
+
+def test_non_finite_check_stops_at_each_entry():
+    # entry 0 stops at [2, 4] and is NaN past 4; entry 1 runs on and is NaN
+    # past 16: the first panel read while non-finite is [16, 32]
+    def f(t):
+        return np.stack([np.where(t > 4.0, np.nan, _stops_at(1)(t)),
+                         np.where(t > 16.0, np.nan, np.exp(-t))])
+
+    with pytest.raises(QuadratureError) as want:
+        _ref_semiaxis(0.0, f, _TOL)
+    with pytest.raises(QuadratureError) as caught:
+        integrate_semiaxis(f, 0.0, _TOL)
+    assert str(caught.value) == str(want.value) == (
+        "semiaxis panel [16, 32] hit a non-finite integrand value")
+
+
+_BAD_INPUTS = [(math.nan, 1e-9), (math.inf, 1e-9), (-1.0, 1e-9),
+               (0.5, math.nan), (0.5, math.inf), (0.5, 0.0), (0.5, -1e-9)]
+
+
+@pytest.mark.parametrize("weight,tol", _BAD_INPUTS)
+@pytest.mark.parametrize("integrate", [integrate_unit_interval, integrate_semiaxis])
+def test_bad_weight_or_tolerance_is_rejected_before_any_call(integrate, weight, tol):
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return np.exp(-t)
+
+    with pytest.raises(ValueError):
+        integrate(counted, weight, tol)
+    assert calls == []
