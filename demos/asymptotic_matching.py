@@ -32,7 +32,7 @@ print(f"  valid for {series.remainder['validity']}, remainder "
 print()
 print(f"Large-radius rows (same profile):")
 family = VChartFamily(d, "tt", xi_conformal(d))
-_, limit = large_r_expansion(family)
+limit = large_r_expansion(family)
 for row in limit.rows:
     tag = " * ln r^2" if row.has_log else ""
     print(f"  r^{int(row.r_power)}: {row.coefficient:+.10f}{tag}")

@@ -1,17 +1,21 @@
 """Small- and large-radius expansions of the stress profiles.
 
+Each expansion is a ``SeriesExpansion`` whose ``remainder_bound(r)`` bounds
+|profile(r) - evaluate(r)| wherever ``remainder["validity"]`` holds, so the
+partial sums come with a hard inequality rather than an asymptotic promise.
+
 Small radius: the Gaussian factor is expanded about r = 0, giving a pure
-power series in r^2 whose coefficients are tau-integrals; the truncation
-error carries an explicit constant, so the partial sums come with a hard
-inequality rather than an asymptotic promise.
+power series in r^2 whose coefficients are tau-integrals.  The bound is a
+Taylor-remainder constant times the first dropped power plus each
+coefficient's quadrature error times its power.
 
 Large radius: substituting v = tanh(tau) turns each profile into a
 Laplace-type integral int_0^1 e^{-r^2 v} v^lam (q0(v) + ln v q1(v)) dv.
-Taylor-expanding the q's at v = 0 and keeping the incomplete-gamma
-truncation produces the "finite form" (exact rows at finite r); letting
-the incomplete gammas run to infinity gives the "limit form", a genuine
-series in inverse powers of r with ln r^2 companions.  Both remainders
-are folded into constants multiplying a single power of r.
+Taylor-expanding the q's at v = 0 on (0, v0] and letting the incomplete
+gammas of the Taylor rows run to infinity gives a series in inverse powers
+of r with ln r^2 companions.  Its bound adds the Taylor and past-v0
+remainders, folded into constants multiplying one power of r, to the
+completed incomplete-gamma tails.
 """
 
 import functools
@@ -24,7 +28,7 @@ from .continuation import p_constants, p_from_ladder, u_affine_ladder, weight_ex
 from .jets import Jet, jet_lift_and_compose as lift
 from .kernels import COMPONENTS, HyperbolicJets, part_coupling
 from .quadrature import integrate_semiaxis, integrate_unit_interval
-from .specfun import digamma, g_log_gamma, gamma, lower_gamma, upper_gamma
+from .specfun import digamma, gamma, upper_gamma
 from .stress import stress_profiles
 
 
@@ -41,9 +45,8 @@ class SeriesExpansion:
     remainder: dict = field(default_factory=dict)
 
     def evaluate(self, r):
-        lg = math.log(r * r)
-        return sum(row.coefficient * r ** row.r_power * (lg if row.has_log else 1.0)
-                   for row in self.rows)
+        return sum(row.coefficient * r ** row.r_power
+                   * (math.log(r * r) if row.has_log else 1.0) for row in self.rows)
 
     def coefficient(self, r_power, has_log=False):
         for row in self.rows:
@@ -52,11 +55,15 @@ class SeriesExpansion:
         return 0.0
 
     def remainder_bound(self, r):
-        """Evaluate the stored remainder envelope at r."""
+        """Bound on |profile(r) - evaluate(r)| where remainder["validity"] holds."""
         c = self.remainder
         bound = c["F"] * r ** c["r_power"]
         if "G" in c:
             bound += c["G"] * abs(math.log(r * r)) * r ** c["r_power"]
+        if "entries" in c:
+            bound += _gamma_tail_bound(c["entries"], c["lam"], c["v0"], r)
+        for i, e in enumerate(c.get("coefficient_errors", ())):
+            bound += e * r ** (2 * i)
         return bound
 
 
@@ -80,9 +87,9 @@ def small_r_expansion(poly, n_terms, tol=1e-9):
     returns (P0, P1) -- a pair stacked on a leading axis whose second entry
     multiplies ln(tau).  Each node set evaluates its coefficients once per
     quadrature.  A coefficient no larger than its quadrature error plus the
-    rounding of its sum is 0.0.  The returned remainder dict carries a
-    constant C such that |profile(r) - partial sum| <= C r^(2(n_terms+1))
-    on the stated validity range.
+    rounding of its sum is 0.0.  The remainder dict carries F and each
+    coefficient's quadrature error e_i, and |profile(r) - partial sum| <=
+    F r^(2(n_terms+1)) + sum_i e_i r^(2i) on the stated validity range.
     """
     lam = poly.lam
     deg = poly.degree
@@ -179,46 +186,20 @@ class VChartFamily:
                 [pref * b for b in p1])
 
 
-class FiniteLargeR:
-    """Large-r rows with incomplete-gamma factors kept at finite argument.
-
-    Exact for every r > 0 up to the Taylor/tail remainder recorded in
-    ``remainder``; the limit form replaces each incomplete gamma by its
-    full value, and ``gamma_tail_bound`` bounds exactly that replacement.
-    """
-
-    def __init__(self, lam, v0, entries, remainder):
-        self.lam = lam
-        self.v0 = v0
-        self.entries = entries          # (i, m, q0_im, q1_im)
-        self.remainder = remainder
-
-    def rows_at(self, r):
-        z0 = self.v0 * r * r
-
-        def contribution(s, q0, q1):
-            lg = lower_gamma(s, z0)
-            return q0 * lg + q1 * g_log_gamma(s, z0), -q1 * lg
-        return SeriesExpansion(_power_rows(self.entries, self.lam, contribution),
-                               dict(self.remainder))
-
-    def evaluate(self, r):
-        return self.rows_at(r).evaluate(r)
-
-    def gamma_tail_bound(self, r):
-        """Bound on |finite form - limit form| at r (the completed tails)."""
-        z0 = self.v0 * r * r
-        lg2 = abs(math.log(r * r))
-        total = 0.0
-        for i, m, q0, q1 in self.entries:
-            s = m + self.lam + 1.0
-            p = 2.0 * (i - m) - 2.0 * self.lam - 2.0
-            ug = upper_gamma(s, z0)
-            bracket = abs(q0) * ug
-            if q1 != 0.0:
-                bracket += abs(q1) * (_abs_log_tail_bound(s, z0, ug) + lg2 * ug)
-            total += bracket * r ** p
-        return total
+def _gamma_tail_bound(entries, lam, v0, r):
+    """Bound at r on the error of the limit form's completed incomplete gammas."""
+    z0 = v0 * r * r
+    lg2 = abs(math.log(r * r))
+    total = 0.0
+    for i, m, q0, q1 in entries:
+        s = m + lam + 1.0
+        p = 2.0 * (i - m) - 2.0 * lam - 2.0
+        ug = upper_gamma(s, z0)
+        bracket = abs(q0) * ug
+        if q1 != 0.0:
+            bracket += abs(q1) * (_abs_log_tail_bound(s, z0, ug) + lg2 * ug)
+        total += bracket * r ** p
+    return total
 
 
 def _abs_log_tail_bound(s, z, upper):
@@ -239,15 +220,16 @@ def _supremum_nodes(v0):
     return np.linspace(v0 / 513.0, v0, 513)
 
 
-def _power_rows(entries, lam, contribution):
-    """Rows of a large-r form, leading power first; contribution(s, q0, q1) is
-    an entry's (plain, log) pair.  A plain row of rounding noise is 0.0, a
-    log row of rounding noise is dropped."""
+def _power_rows(entries, lam):
+    """Rows of the limit form, leading power first: entry (i, m, q0, q1) adds
+    Gamma(s) (q0 + psi(s) q1) r^p and -Gamma(s) q1 r^p ln r^2, s = m + lam + 1,
+    p = 2(i - m) - 2 lam - 2.  Of rounding noise, a plain row is 0.0, a log row is dropped."""
     by_power = {}
     for i, m, q0, q1 in entries:
         s = m + lam + 1.0
         p = 2.0 * (i - m) - 2.0 * lam - 2.0
-        a, b = contribution(s, q0, q1)
+        gs = gamma(s)
+        a, b = gs * (q0 + digamma(s) * q1), -gs * q1
         slot = by_power.setdefault(round(p * 2), [p, 0.0, 0.0, 0.0, 0.0])
         slot[1] += a
         slot[2] += abs(a)
@@ -263,26 +245,21 @@ def _power_rows(entries, lam, contribution):
 
 
 def large_r_expansion(family, depth=None, v0=0.5):
-    """(finite_form, limit_form) for a v-chart family.
+    """The limit form of a v-chart family: a SeriesExpansion in inverse powers
+    of r, whose remainder_bound holds for r >= 1.
 
     depth is the number of Taylor rows kept for the i = 0 coefficient
     (row i keeps depth + i of them, so all contributions down to the
-    common remainder power are present).  Validity of the remainder
-    envelope: r >= 1.
+    common remainder power are present).  The remainder keeps those Taylor
+    entries (i, m, q0, q1), lam and v0 for its incomplete-gamma tails.
     """
     if depth is None:
         depth = _DEFAULT_DEPTH[family.d]
     lam = family.lam
     entries, f_const, g_const = _large_r_constants(family, depth, v0)
     remainder = {"r_power": -2.0 * (depth + lam + 1.0), "F": f_const, "G": g_const,
-                 "validity": "r >= 1"}
-    finite = FiniteLargeR(lam, v0, list(entries), remainder)
-
-    def contribution(s, q0, q1):
-        gs = gamma(s)
-        return gs * (q0 + digamma(s) * q1), -gs * q1
-    limit = SeriesExpansion(_power_rows(entries, lam, contribution), dict(remainder))
-    return finite, limit
+                 "validity": "r >= 1", "entries": entries, "lam": lam, "v0": v0}
+    return SeriesExpansion(_power_rows(entries, lam), remainder)
 
 
 # An asympt request asks for the expansion at two depths, equal in d = 1;
@@ -369,7 +346,7 @@ def asymptotic_match_report(cfg, comp, part, r_values, tol=1e-10):
     d = cfg.d
     depth = _REPORT_DEPTH[d]
     coupling = part_coupling(d, cfg.xi, part)
-    finite, limit = large_r_expansion(VChartFamily(d, comp, coupling), depth=depth)
+    limit = large_r_expansion(VChartFamily(d, comp, coupling), depth=depth)
 
     radii = [float(r) for r in r_values]
     numerics = stress_profiles(cfg, comp, np.array(radii), tol, coupling=coupling)[0]
@@ -377,7 +354,7 @@ def asymptotic_match_report(cfg, comp, part, r_values, tol=1e-10):
     for r, numeric in zip(radii, numerics):
         series = limit.evaluate(r)
         diff = abs(numeric - series)
-        bound = limit.remainder_bound(r) + finite.gamma_tail_bound(r)
+        bound = limit.remainder_bound(r)
         rows.append({"r": r, "numeric": numeric, "series": series,
                      "abs_diff": diff, "bound": bound,
                      "within_bound": diff <= bound})

@@ -228,9 +228,10 @@ def _first_call(f, lam, tol, panels):
     vals = _call(f, _first_nodes(panels))
     first, end = [], 1
     for level in range(_FIRST_LEVEL + 1):
-        for x, w in _ts_branches(lam, 0.5 ** (level + 1), level > 0):
-            first.append((w, vals[..., end:end + x.size]))
-            end += x.size
+        *branches, ln_jac = _ts_nodes(0.5 ** (level + 1), level > 0)
+        for ln_x in branches:     # _first_nodes holds their x
+            first.append((np.exp(lam * ln_x + ln_jac), vals[..., end:end + ln_x.size]))
+            end += ln_x.size
     tail = vals[..., end:].reshape(vals.shape[:-1] + _gl_block(0, panels)[1].shape)
     return vals[..., 0], first, tail
 

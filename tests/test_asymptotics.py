@@ -11,14 +11,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from casimir_harmonic.asymptotics import (SeriesExpansion, VChartFamily,
+from casimir_harmonic.asymptotics import (Row, SeriesExpansion, VChartFamily,
+                                          _gamma_tail_bound, _is_noise,
                                           asymptotic_match_report,
                                           large_r_expansion,
                                           small_r_expansion)
 from casimir_harmonic.continuation import RSquarePoly, build_P_polynomials
 from casimir_harmonic.jets import Jet, derivative, jet_lift_and_compose
-from casimir_harmonic.kernels import XI_SLOPE, HarmonicConfig, xi_conformal
-from casimir_harmonic.specfun import EULER_GAMMA
+from casimir_harmonic.kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig,
+                                      part_coupling, xi_conformal)
+from casimir_harmonic.specfun import EULER_GAMMA, g_log_gamma, lower_gamma
+from casimir_harmonic.stress import stress_profiles
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -131,7 +134,7 @@ def test_small_r_powers_strictly_ordered():
 
 
 def test_large_r_d1_tt_conformal_rows():
-    _, limit = large_r_expansion(VChartFamily(1, "tt", 0.0))
+    limit = large_r_expansion(VChartFamily(1, "tt", 0.0))
     assert limit.coefficient(2.0, has_log=True) == pytest.approx(
         -1.0 / (8.0 * PI), rel=1e-9)
     assert limit.coefficient(2.0) == pytest.approx(
@@ -143,7 +146,7 @@ def test_large_r_d1_tt_conformal_rows():
 
 
 def test_large_r_d2_tt_conformal_rows_log_free():
-    _, limit = large_r_expansion(VChartFamily(2, "tt", xi_conformal(2)))
+    limit = large_r_expansion(VChartFamily(2, "tt", xi_conformal(2)))
     assert limit.coefficient(3.0) == pytest.approx(-1.0 / (12.0 * PI),
                                                    rel=1e-9)
     assert limit.coefficient(-5.0) == pytest.approx(-19.0 / (2560.0 * PI),
@@ -154,7 +157,7 @@ def test_large_r_d2_tt_conformal_rows_log_free():
 
 
 def test_large_r_d3_rr_square_rows():
-    _, limit = large_r_expansion(VChartFamily(3, "rr", XI_SLOPE))
+    limit = large_r_expansion(VChartFamily(3, "rr", XI_SLOPE))
     assert limit.coefficient(0.0, has_log=True) == pytest.approx(
         1.0 / (4.0 * PI * PI), rel=1e-9)
     assert limit.coefficient(0.0) == pytest.approx(
@@ -173,14 +176,44 @@ def test_arcth_over_v_jet():
             coeff, abs=1e-13)
 
 
+def _finite_form(limit, r):
+    """The finite form of a large-r series at r: each Taylor entry's Gamma(s)
+    kept as the lower incomplete gamma at v0 r^2, exact at every r > 0 up to
+    the Taylor and past-v0 remainders.  Rows are grouped and noise-floored as
+    the limit form's are."""
+    c = limit.remainder
+    z0 = c["v0"] * r * r
+    by_power = {}
+    for i, m, q0, q1 in c["entries"]:
+        s = m + c["lam"] + 1.0
+        p = 2.0 * (i - m) - 2.0 * c["lam"] - 2.0
+        lg = lower_gamma(s, z0)
+        a, b = q0 * lg + q1 * g_log_gamma(s, z0), -q1 * lg
+        slot = by_power.setdefault(round(p * 2), [p, 0.0, 0.0, 0.0, 0.0])
+        for k, x in enumerate((a, abs(a), b, abs(b)), start=1):
+            slot[k] += x
+    rows = []
+    for key in sorted(by_power, reverse=True):
+        p, a, a_size, b, b_size = by_power[key]
+        rows.append(Row(p, False, 0.0 if _is_noise(a, a_size) else a))
+        if not _is_noise(b, b_size):
+            rows.append(Row(p, True, b))
+    return SeriesExpansion(rows)
+
+
+def _gamma_tails(limit, r):
+    c = limit.remainder
+    return _gamma_tail_bound(c["entries"], c["lam"], c["v0"], r)
+
+
 def test_finite_vs_limit_tail_consistency():
     """The two forms differ by incomplete-gamma tails of size e^(-v0 r^2):
     visible at v0 r^2 = 18, below 1e-10 relative once v0 r^2 >= 25."""
-    finite, limit = large_r_expansion(VChartFamily(1, "tt", 0.0), v0=0.5)
-    diff_6 = abs(finite.evaluate(6.0) - limit.evaluate(6.0))
-    assert diff_6 <= finite.gamma_tail_bound(6.0)
+    limit = large_r_expansion(VChartFamily(1, "tt", 0.0), v0=0.5)
+    diff_6 = abs(_finite_form(limit, 6.0).evaluate(6.0) - limit.evaluate(6.0))
+    assert diff_6 <= _gamma_tails(limit, 6.0)
     assert diff_6 > 1e-10 * abs(limit.evaluate(6.0))  # genuinely visible
-    diff_8 = abs(finite.evaluate(8.0) - limit.evaluate(8.0))
+    diff_8 = abs(_finite_form(limit, 8.0).evaluate(8.0) - limit.evaluate(8.0))
     assert diff_8 <= 1e-10 * abs(limit.evaluate(8.0))
 
 
@@ -188,8 +221,8 @@ def test_finite_vs_limit_tail_consistency():
                                     VChartFamily(2, "rr", 0.125),
                                     VChartFamily(3, "tt", XI_SLOPE)])
 def test_limit_rows_independent_of_v0(family):
-    _, at_03 = large_r_expansion(family, v0=0.3)
-    _, at_07 = large_r_expansion(family, v0=0.7)
+    at_03 = large_r_expansion(family, v0=0.3)
+    at_07 = large_r_expansion(family, v0=0.7)
     for row_a, row_b in zip(at_03.rows, at_07.rows):
         assert row_a.r_power == row_b.r_power
         assert row_a.has_log == row_b.has_log
@@ -237,7 +270,7 @@ def test_match_report_empty_probe():
 def test_series_expansion_is_shared_shape():
     series = _conformal_small_r(2, "rr", 3)
     assert isinstance(series, SeriesExpansion)
-    _, limit = large_r_expansion(VChartFamily(2, "rr", 0.125))
+    limit = large_r_expansion(VChartFamily(2, "rr", 0.125))
     assert isinstance(limit, SeriesExpansion)
     # large-r rows ordered from the leading power downward
     powers = [row.r_power for row in limit.rows]
@@ -246,10 +279,10 @@ def test_series_expansion_is_shared_shape():
 
 def test_log_rows_of_rounding_noise_are_dropped():
     # the log coefficients of the d=1 tt xi-slope cancel to rounding noise
-    finite, limit = large_r_expansion(VChartFamily(1, "tt", XI_SLOPE))
+    limit = large_r_expansion(VChartFamily(1, "tt", XI_SLOPE))
     assert [row for row in limit.rows if row.has_log] == []
     assert all(abs(row.coefficient) > 1e-12
-               for row in finite.rows_at(5.0).rows if row.has_log)
+               for row in _finite_form(limit, 5.0).rows if row.has_log)
 
 
 @pytest.mark.parametrize("family,want", [
@@ -257,7 +290,7 @@ def test_log_rows_of_rounding_noise_are_dropped():
     (VChartFamily(3, "rr", XI_SLOPE), [(0.0, 1.0 / (4.0 * PI * PI))]),
 ], ids=["d1_tt_conformal", "d3_rr_square"])
 def test_closed_form_log_rows_survive_the_noise_floor(family, want):
-    _, limit = large_r_expansion(family)
+    limit = large_r_expansion(family)
     got = [(row.r_power, row.coefficient) for row in limit.rows if row.has_log]
     assert [power for power, _ in got] == [power for power, _ in want]
     for (_, value), (_, closed) in zip(got, want):
@@ -299,8 +332,8 @@ def test_asympt_request_integrates_the_large_r_tail_once(d, monkeypatch):
 
 
 def test_large_r_expansion_takes_a_0d_array_coupling():
-    _, got = large_r_expansion(VChartFamily(2, "rr", np.array(0.125)))
-    _, want = large_r_expansion(VChartFamily(2, "rr", 0.125))
+    got = large_r_expansion(VChartFamily(2, "rr", np.array(0.125)))
+    want = large_r_expansion(VChartFamily(2, "rr", 0.125))
     assert [(r.r_power, r.has_log, r.coefficient) for r in got.rows] == \
         [(r.r_power, r.has_log, r.coefficient) for r in want.rows]
 
@@ -323,18 +356,21 @@ def test_abs_log_tail_bound_against_mpmath(s):
 
 
 def test_gamma_tail_bound_runs_no_quadrature(monkeypatch):
+    import casimir_harmonic.asymptotics as asymptotics
     import casimir_harmonic.quadrature as quadrature
 
-    finite, _ = large_r_expansion(VChartFamily(3, "rr", XI_SLOPE))
-    assert any(q1 != 0.0 for _, _, _, q1 in finite.entries)
+    limit = large_r_expansion(VChartFamily(3, "rr", XI_SLOPE))
+    assert any(q1 != 0.0 for _, _, _, q1 in limit.remainder["entries"])
 
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature called")
 
-    monkeypatch.setattr(quadrature, "integrate_semiaxis", refuse)
-    monkeypatch.setattr(quadrature, "integrate_unit_interval", refuse)
+    for module in (quadrature, asymptotics):
+        monkeypatch.setattr(module, "integrate_semiaxis", refuse)
+        monkeypatch.setattr(module, "integrate_unit_interval", refuse)
     for r in (1.0, 1.3, 5.0, 10.0):
-        assert finite.gamma_tail_bound(r) > 0.0
+        assert _gamma_tails(limit, r) > 0.0
+        assert limit.remainder_bound(r) > 0.0
 
 
 _ENVELOPE_CASES = [(1, "tt", "diamond"), (1, "rr", "square"), (2, "tt", "square"),
@@ -352,7 +388,7 @@ def _envelope_constants(cases):
     for d, comp, part in cases:
         coupling = part_coupling(d, 0.2, part)
         small = small_r_expansion(build_P_polynomials(d, comp, coupling), 3, tol=1e-10)
-        _, limit = large_r_expansion(VChartFamily(d, comp, coupling))
+        limit = large_r_expansion(VChartFamily(d, comp, coupling))
         out.append((small.remainder["F"], limit.remainder["F"], limit.remainder["G"]))
     return out
 
@@ -430,3 +466,54 @@ def test_small_r_remainder_integrals_stay_shallow(monkeypatch):
     assert cli.main(["asympt", "--d", "1", "--part", "square", "--component", "rr"]) == 0
     _, remainder = nodes
     assert remainder <= 8000
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_small_r_series_evaluates_at_its_centre(d):
+    # no small-r row carries ln r^2, so r = 0 needs no logarithm
+    series = small_r_expansion(build_P_polynomials(d, "tt", xi_conformal(d)), 3)
+    assert not any(row.has_log for row in series.rows)
+    assert series.evaluate(0.0) == series.rows[0].coefficient
+    t0 = stress_profiles(HarmonicConfig(d=d, xi=xi_conformal(d)), "tt", 0.0, tol=1e-10)[0]
+    assert abs(t0 - series.evaluate(0.0)) <= series.remainder_bound(0.0) + 1e-10
+
+
+_ALL_CASES = [(d, comp, part) for d in (1, 2, 3) for comp in COMPONENTS
+              for part in ("diamond", "square", "raw")]
+
+
+@pytest.mark.parametrize("d,comp,part", _ALL_CASES,
+                         ids=["d%d-%s-%s" % case for case in _ALL_CASES])
+def test_remainder_bound_is_the_whole_bound(d, comp, part):
+    """remainder_bound alone bounds the truncation error of either series,
+    the large-r completed tails and the small-r coefficient errors included;
+    the small-r check allows 1e-10 for the tolerance of the numerics."""
+    cfg = HarmonicConfig(d=d, xi=0.2)
+    coupling = part_coupling(d, 0.2, part)
+    limit = large_r_expansion(VChartFamily(d, comp, coupling))
+    small = small_r_expansion(build_P_polynomials(d, comp, coupling), 3, tol=1e-10)
+    large_radii, small_radii = (1.0, 2.5, 5.0, 10.0), (0.001, 0.3, 0.7)
+    t0 = stress_profiles(cfg, comp, np.array(large_radii + small_radii), tol=1e-10,
+                         coupling=coupling)[0]
+    for r, numeric in zip(large_radii, t0):
+        assert abs(numeric - limit.evaluate(r)) <= limit.remainder_bound(r), r
+    for r, numeric in zip(small_radii, t0[len(large_radii):]):
+        assert abs(numeric - small.evaluate(r)) <= small.remainder_bound(r) + 1e-10, r
+
+
+def test_remainder_bound_adds_every_term():
+    # the numerics sit far inside today's envelopes, so pin the composition:
+    # envelope, then the completed tails (large r) or coefficient errors (small r)
+    coupling = part_coupling(3, 0.2, "square")
+    limit = large_r_expansion(VChartFamily(3, "rr", coupling))
+    small = small_r_expansion(build_P_polynomials(3, "rr", coupling), 3, tol=1e-10)
+    c, e = limit.remainder, small.remainder["coefficient_errors"]
+    assert _gamma_tails(limit, 1.0) > 0.0 and all(err > 0.0 for err in e)
+    for r in (1.0, 2.5, 5.0):
+        envelope = c["F"] * r ** c["r_power"] + c["G"] * abs(math.log(r * r)) * r ** c["r_power"]
+        assert limit.remainder_bound(r) == envelope + _gamma_tails(limit, r)
+    for r in (0.0, 0.3, 0.7):
+        want = small.remainder["F"] * r ** small.remainder["r_power"]
+        for i, err in enumerate(e):
+            want += err * r ** (2 * i)
+        assert small.remainder_bound(r) == want

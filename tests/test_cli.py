@@ -195,6 +195,15 @@ def test_nonfinite_input_exits_2(capsys, argv):
     assert json.loads(err)["exit_code"] == 2
 
 
+def test_tol_whose_third_underflows_is_named_in_the_error(capsys):
+    # the three profile integrals each get tol / 3, which is 0 here
+    code, out, err = run(capsys, "stress", "--d", "1", "--tol", "5e-324", "--r", "0", "5", "2")
+    assert code == 2
+    assert out == ""
+    assert err == json.dumps({"error": "tol 5e-324 is too small: a third of it underflows "
+                                       "to 0", "exit_code": 2}) + "\n"
+
+
 def test_quadrature_failure_writes_only_its_error_record(capsys):
     # the non-finite values that make the quadrature fail would warn first
     with warnings.catch_warnings():

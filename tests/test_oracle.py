@@ -125,7 +125,7 @@ def _d1_closed_form_rows(r):
 
 
 def test_d1_large_r_residual_decays_like_r_minus_10():
-    _, limit = large_r_expansion(VChartFamily(1, "tt", 0.0), depth=5)
+    limit = large_r_expansion(VChartFamily(1, "tt", 0.0), depth=5)
     assert abs(limit.coefficient(-8.0)) < 1e-12
     row10 = limit.coefficient(-10.0)
     gaps, log_scaled = [], []

@@ -98,6 +98,8 @@ def test_split_reconstructs_direct_value(xi):
     lambda: stress_profiles(HarmonicConfig(d=1), "tt", math.nan),
     lambda: stress_profiles(HarmonicConfig(d=1), "tt", math.inf),
     lambda: stress_profiles(HarmonicConfig(d=1), "tt", 1.0, tol=math.nan),
+    # positive, but a third of it underflows to 0
+    lambda: stress_profiles(HarmonicConfig(d=1), "tt", 1.0, tol=5e-324),
     lambda: stress_component(HarmonicConfig(d=3), "rr", math.inf),
     lambda: bulk_energy_quadrature(1, tol=math.nan),
     # k^(d+1) multiplies every stress value, so it must neither overflow
@@ -115,7 +117,7 @@ def test_split_reconstructs_direct_value(xi):
     lambda: stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", 5.0),
     lambda: stress_grid(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", [0.0, 5.0]),
 ], ids=["k_nan", "kappa_inf", "xi_inf", "xi_nan", "r_nan", "r_inf",
-        "tol_nan", "component_r_inf", "energy_tol_nan", "k_scale_overflow",
+        "tol_nan", "tol_third_underflows", "component_r_inf", "energy_tol_nan", "k_scale_overflow",
         "k_scale_underflow_d1", "k_scale_underflow_d3", "kappa_over_k_overflow_d2",
         "kappa_over_k_overflow_d3", "kappa_over_k_underflow", "log_argument_overflow",
         "vev_overflow", "grid_vev_overflow"])

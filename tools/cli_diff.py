@@ -3,11 +3,13 @@
     python3 tools/cli_diff.py OLD_TREE NEW_TREE
 
 Runs 29 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON
-quantizer), 18 ``asympt``, 3 ``energy`` requests, ``selftest`` and 6 requests that fail
-(one quadrature failure, exit 3, and five rejected inputs, exit 2: a non-finite radius,
-a zero radius for ``asympt``, a k whose k^(d+1) overflows, an ``--output`` that is a
-directory, and 1e12 radii) with each tree's ``src`` on PYTHONPATH, two requests at a
-time.  Of stderr only the final line counts, the JSON error record of a failed request; the warnings
+quantizer), 21 ``asympt`` (three reach down to r = 1 or below, where the incomplete-gamma
+tail term of the large-r bound is largest; one of them is JSON), 3 ``energy`` requests,
+``selftest`` and 7 requests that fail (one quadrature failure, exit 3, and six rejected
+inputs, exit 2: a non-finite radius, a zero radius for ``asympt``, a k whose k^(d+1)
+overflows, an ``--output`` that is a directory, 1e12 radii, and a ``--tol`` whose third
+underflows to 0) with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of
+stderr only the final line counts, the JSON error record of a failed request; the warnings
 before it may come in any order.  Per request it prints "byte-identical" or a changed exit code or error
 record and each changed cell ([row key] column: old -> new |delta| and |delta|/|old|,
 keyed by the kind, r_power, has_log, r, d and criterion cells), added (+) and removed
@@ -37,13 +39,19 @@ def requests():
                ["stress", "--d", "3", "--xi", "0.3", "--r", "0", "7", "4", "--format", "json"]]
             + [["asympt", "--d", d, "--part", p, "--component", c, "--xi", "0.2",
                 "--r", "4.5", "11", "2"] for d, p, c in asympt]
+            + [["asympt", "--d", "1", "--r", "0.5", "3", "3"],
+               ["asympt", "--d", "2", "--part", "square", "--component", "theta1theta1_reduced",
+                "--r", "0.25", "2", "4", "--format", "json"],
+               ["asympt", "--d", "3", "--part", "raw", "--component", "theta1theta1_reduced",
+                "--xi", "0.2", "--r", "1", "6", "3"]]
             + [["energy", "--d", d] for d in "123"] + [["selftest"]]
             + [["stress", "--d", "3", "--component", "tt", "--tol", "1e-300", "--r", "0", "5", "2"],
                ["stress", "--d", "1", "--r", "0", "nan", "11"],
                ["asympt", "--d", "2", "--r", "0", "5", "3"],
                ["stress", "--d", "3", "--k", "1e100"],
                ["energy", "--d", "1", "--output", "."],
-               ["stress", "--d", "1", "--r", "0", "5", "1e12"]])
+               ["stress", "--d", "1", "--r", "0", "5", "1e12"],
+               ["stress", "--d", "1", "--tol", "5e-324", "--r", "0", "5", "2"]])
 
 
 def run(tree, argv):
