@@ -27,19 +27,21 @@ x = 1/2, the two branches of tanh-sinh levels 0-3 and, for
 Gauss-Legendre rules.  Most integrals stop within it (an entry's error is
 inf until level 1, so none stops before level 2).  Then the tanh-sinh rule
 runs to its end, calling f once per further branch, x -> 1 then x -> 0,
-and after it the tail rule, once per further panel.  The tanh-sinh rule
-reads a level's values only once it reaches it.  The tail rule takes its
-panels in blocks: the first call's six panels are one block, each further
-panel a block of one.  Over a block it finds each entry's stopping panel
-at once; the values past it are never read, and arithmetic on them raises
-no warning.  So most integrals take one integrand call, and f must accept
-every node of the first call, up to tau = 64, whether or not the rules go
-that far.  Branch sums, panel dot products, accumulation order and
-stopping rules are those of each rule run on its own, a level or a panel
-at a time, so values and errors do not depend on the schedule.
+and after it the tail rule, once per further panel.  Each rule takes its
+steps in blocks: the first call's levels 1-3 are one block and its six
+panels another, each further level or panel a block of one.  Over a block
+a rule finds each entry's stop at once; the values past it are never
+read, and arithmetic on them raises no warning.  So most integrals take
+one integrand call, and f must accept every node of the first call, up to
+tau = 64, whether or not the rules go that far.  Branch sums, panel dot
+products (one ``np.vecdot`` per block, which takes a BLAS dot per row as
+``np.dot`` does), accumulation order and stopping rules are those of each
+rule run on its own, a level or a panel at a time, so values and errors do
+not depend on the schedule.
 
 Errors.  A weight exponent that is not finite and > -1, or a tolerance
-that is not finite and positive, raises ``ValueError`` before f is called.
+that is not finite and positive, raises ``ValueError`` before f is called;
+so does a tol whose hundredth, the tail rule's threshold, underflows to 0.
 A rule that fails raises ``QuadratureError``.  The tail rule of
 ``integrate_semiaxis`` runs only once the unit-interval rule has finished,
 so when both would fail, the unit-interval error is raised.  An exception
@@ -90,6 +92,7 @@ def _ts_branches(lam, h, odd_only):
 _MAX_LEVEL = 11  # halvings of the tanh-sinh step after the first level
 _FIRST_LEVEL = 3  # the first call holds tanh-sinh levels 0.._FIRST_LEVEL
 _FIRST_PANELS = 6  # the first call holds the tail panels [1, 2] ... [32, 64]
+_FIRST_H = 0.5 ** np.arange(1, _FIRST_LEVEL + 2)    # the steps of levels 0.._FIRST_LEVEL
 
 
 def _call(f, x):
@@ -100,44 +103,39 @@ def _call(f, x):
     return vals.reshape(vals.shape[:-1] + x.shape)
 
 
-def _unit_rule(f, lam, tol, center, first):
-    """Tanh-sinh rule for int_0^1 x^lam f(x) dx.  center holds f(1/2) and
-    first the (w, f(x)) of each branch of levels 0.._FIRST_LEVEL, x -> 1
-    then x -> 0; f is called once per further branch."""
-
-    def level_sum(level, h):
-        total = 0.0
-        if level <= _FIRST_LEVEL:
-            for w, v in first[2 * level:2 * level + 2]:
-                total += np.sum(w * v, axis=-1)
-        else:
-            for x, w in _ts_branches(lam, h, odd_only=True):
-                total += np.sum(w * _call(f, x), axis=-1)
-        return total
-
-    h = 0.5
-    acc = 0.5 ** lam * center * 0.25 * np.pi + level_sum(0, h)
-    value = h * acc
+def _unit_rule(f, lam, tol, accs):
+    """Tanh-sinh rule for int_0^1 x^lam f(x) dx, an entry per row of accs, the
+    running sums of levels 0.._FIRST_LEVEL; f is called once per further
+    branch.  Levels 1.._FIRST_LEVEL are one block, each later level another;
+    each entry stops at its first done level, as if the levels came one by one."""
+    rows, seq = np.arange(len(accs)), _FIRST_H * accs    # seq: the value before a block, then its levels
+    value, acc, h, level = seq[:, 0], accs[:, -1], _FIRST_H[-1], _FIRST_LEVEL
     # err holds the last level difference until an entry stops, then its estimate
-    err = np.full(np.shape(value), np.inf)
-    active = np.ones(np.shape(value), dtype=bool)
-    for level in range(1, _MAX_LEVEL + 1):
-        if not active.any():
-            break
-        h *= 0.5
-        acc = acc + level_sum(level, h)
-        new_value = h * acc
-        if not np.isfinite(new_value[active]).all():
-            raise QuadratureError("unit-interval rule hit a non-finite integrand value")
-        delta = abs(new_value - value)
-        floor = 1e-16 * abs(new_value)
-        done = active & (delta <= np.maximum(tol, floor)) & (err < np.inf)
-        value = np.where(active, new_value, value)
-        err = np.where(done, np.maximum(delta, floor), np.where(active, delta, err))
-        active &= ~done
-    if np.any(active & (err > np.maximum(tol * 100.0, 1e-13 * abs(value)))):
-        raise QuadratureError(f"unit-interval rule stalled at error ~{np.max(err[active]):.2e}")
-    return value[()], err[()]
+    err, active = np.full(len(rows), np.inf), np.ones(len(rows), dtype=bool)
+    while True:
+        with np.errstate(all="ignore"):     # past an entry's stop, values may be anything
+            delta = abs(seq[:, 1:] - seq[:, :-1])
+            floor = 1e-16 * abs(seq[:, 1:])
+            last = np.concatenate([err[:, None], delta[:, :-1]], axis=1)    # err before each level
+            done = (delta <= np.maximum(tol, floor)) & (last < np.inf)
+            stopped = done.any(axis=1)
+            stop = np.where(stopped, done.argmax(axis=1), delta.shape[1] - 1)
+            # inactive entries keep finite values; a non-finite level value stays so
+            value = np.where(active, seq[rows, stop + 1], value)
+            if not np.isfinite(value).all():
+                raise QuadratureError("unit-interval rule hit a non-finite integrand value")
+            est = delta[rows, stop]
+            err = np.where(active, np.where(stopped, np.maximum(est, floor[rows, stop]), est), err)
+        active &= ~stopped
+        if level == _MAX_LEVEL and np.any(active & (err > np.maximum(tol * 100.0, 1e-13 * abs(value)))):
+            raise QuadratureError(f"unit-interval rule stalled at error ~{np.max(err[active]):.2e}")
+        if level == _MAX_LEVEL or not active.any():
+            return value, err
+        level, h, total = level + 1, 0.5 * h, 0.0
+        for x, w in _ts_branches(lam, h, odd_only=True):
+            total += np.sum(w * _call(f, x), axis=-1)
+        acc = acc + np.reshape(total, -1)
+        seq = np.stack([value, h * acc], axis=1)
 
 
 _GL_HI = np.polynomial.legendre.leggauss(40)
@@ -145,10 +143,9 @@ _GL_LO = np.polynomial.legendre.leggauss(20)
 
 
 def _gl_sum(half, w, vals):
-    # one dot product per entry: a matrix-vector product rounds differently,
-    # and every entry must equal the call on that entry alone
-    rows = vals.reshape(-1, vals.shape[-1])
-    return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
+    # vecdot takes one BLAS dot per row, as np.dot(w, row) does: a matrix-vector
+    # product rounds differently, and every entry must equal its own call
+    return half * np.vecdot(vals, w)
 
 
 @functools.lru_cache(maxsize=16)
@@ -163,88 +160,106 @@ def _gl_block(p, count):
     return half, x
 
 
-def _tail_rule(f, alpha, tol, first):
-    """Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau in blocks:
-    first holds f's values on the first call's panels, one row each, and
-    each further panel is a block of one, from its own call of f.  Each
-    entry stops at its first done panel, as if the panels came one by one."""
-    shape = first.shape[:-2]
-    val, err, prev = np.zeros(shape), np.zeros(shape), np.full(shape, np.inf)
-    active = np.ones(shape, dtype=bool)
-    p, vals = 0, first
+def _tail_rule(f, alpha, tol, vals):
+    """Gauss-Legendre panels of int_1^inf tau^alpha f(tau) dtau, an entry per
+    row of vals, f's values on the first call's panels: they are one block,
+    each further panel another, from its own call of f.  Each entry stops at
+    its first done panel, as if the panels came one by one."""
+    rows, p = np.arange(len(vals)), 0
+    val, err, prev = np.zeros(len(rows)), np.zeros(len(rows)), np.full(len(rows), np.inf)
+    active = np.ones(len(rows), dtype=bool)
     while True:
-        count = vals.shape[-2]
+        count = vals.shape[1]
         half, x = _gl_block(p, count)
         with np.errstate(all="ignore"):     # past an entry's stop, values may be anything
             g = x ** alpha * vals
             hi = _gl_sum(half, _GL_HI[1], g[..., :40])
             lo = _gl_sum(half, _GL_LO[1], g[..., 40:])
             # each panel's previous magnitude: the last positive one before it
-            m = np.concatenate([prev[..., None], abs(hi)], axis=-1)
-            last = np.maximum.accumulate(np.where(m > 0.0, np.arange(count + 1), 0), axis=-1)
-            mag, prev_mag = m[..., 1:], np.take_along_axis(m, last[..., :-1], axis=-1)
+            m = np.concatenate([prev[:, None], abs(hi)], axis=1)
+            m_pos = m[rows[:, None], np.maximum.accumulate(np.where(m > 0.0, np.arange(count + 1), 0), axis=1)]
+            mag, prev_mag = m[:, 1:], m_pos[:, :-1]
             done = (mag < 0.01 * tol) & (mag < prev_mag)
             # geometric continuation bound for everything past the stopping panel
             ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
             bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
-            stop = np.where(done.any(axis=-1), done.argmax(axis=-1), count - 1)[..., None]
-            bad = active[..., None] & (np.arange(count) <= stop) & ~np.isfinite(hi)
+            stopped = done.any(axis=1)
+            read = active[:, None] & (np.arange(count) <= np.where(stopped, done.argmax(axis=1), count - 1)[:, None])
+            bad = read & ~np.isfinite(hi)
             if bad.any():
-                a = 2.0 ** (p + bad.reshape(-1, count).any(axis=0).argmax())
+                a = 2.0 ** (p + bad.any(axis=0).argmax())
                 raise QuadratureError(f"semiaxis panel [{a:g}, {2.0 * a:g}] hit a non-finite integrand value")
-            sums = np.cumsum(np.concatenate([val[..., None], hi], axis=-1), axis=-1)
-            errs = np.cumsum(np.concatenate([err[..., None], abs(hi - lo)], axis=-1), axis=-1)
-            val = np.where(active, np.take_along_axis(sums, stop + 1, axis=-1)[..., 0], val)
-            err = np.where(active, np.take_along_axis(errs, stop + 1, axis=-1)[..., 0]
-                           + np.take_along_axis(bound, stop, axis=-1)[..., 0], err)
-        prev = np.take_along_axis(m, last[..., -1:], axis=-1)[..., 0]
-        active &= ~done.any(axis=-1)
+            # sequential sums through each entry's stop: a panel past it, or an
+            # inactive entry, adds +0.0, and none of these sums is ever -0.0
+            val = np.add.accumulate(np.concatenate([val[:, None], np.where(read, hi, 0.0)], axis=1), axis=1)[:, -1]
+            steps = np.where(read[..., None], np.stack([abs(hi - lo), bound], axis=-1), 0.0)
+            steps = np.concatenate([err[:, None], steps.reshape(len(rows), 2 * count)], axis=1)
+            err = np.add.accumulate(steps, axis=1)[:, -1]
+        prev = m_pos[:, -1]
+        active &= ~stopped
         p += count
         if not active.any():
             return val, err
         if 2.0 ** p >= 16384.0:
             raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
-        vals = _call(f, _gl_block(p, 1)[1])
+        vals = _call(f, _gl_block(p, 1)[1]).reshape(len(rows), 1, -1)
+
+
+@functools.lru_cache(maxsize=1)
+def _first_levels():
+    """Read-only (ln x, ln dx/dt) of the branches of levels 0.._FIRST_LEVEL, x -> 1
+    then x -> 0 per level, concatenated; each level's (start, branch length)."""
+    levels = [_ts_nodes(0.5 ** (level + 1), level > 0) for level in range(_FIRST_LEVEL + 1)]
+    ln_x = np.concatenate([ln_x for *ln_xs, _ in levels for ln_x in ln_xs])
+    ln_jac = np.concatenate([ln_jac for *_, ln_jac in levels for _ in "+-"])
+    ln_x.flags.writeable = ln_jac.flags.writeable = False
+    sizes = [ln_jac.size for *_, ln_jac in levels]
+    return ln_x, ln_jac, [(2 * sum(sizes[:level]), n) for level, n in enumerate(sizes)]
 
 
 @functools.lru_cache(maxsize=2)
 def _first_nodes(panels):
     """The first call's nodes, read-only: the centre, each branch of levels
     0.._FIRST_LEVEL, then the rows of the first `panels` tail panels."""
-    branches = [np.exp(ln_x) for level in range(_FIRST_LEVEL + 1)
-                for ln_x in _ts_nodes(0.5 ** (level + 1), level > 0)[:2]]
-    x = np.concatenate([[0.5]] + branches + [_gl_block(0, panels)[1].ravel()])
+    x = np.concatenate([[0.5], np.exp(_first_levels()[0]), _gl_block(0, panels)[1].ravel()])
     x.flags.writeable = False
     return x
 
 
 def _first_call(f, lam, tol, panels):
-    """(f(1/2), the (w, f(x)) of each first-level branch, f's values on the
-    rows of the first `panels` tail panels) from one call of f."""
+    """(the shape of f's values; a row per entry of the running sums of levels
+    0.._FIRST_LEVEL, and of f's values on the first `panels` tail panels)."""
     if not -1.0 < lam < np.inf:
         raise ValueError("weight exponent must be finite and satisfy lam > -1")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
+    if panels and 0.01 * tol == 0.0:    # the tail rule stops below 0.01 tol
+        raise ValueError(f"tol {tol!r} is too small: the tail threshold 0.01 tol underflows to 0")
     vals = _call(f, _first_nodes(panels))
-    first, end = [], 1
-    for level in range(_FIRST_LEVEL + 1):
-        *branches, ln_jac = _ts_nodes(0.5 ** (level + 1), level > 0)
-        for ln_x in branches:     # _first_nodes holds their x
-            first.append((np.exp(lam * ln_x + ln_jac), vals[..., end:end + ln_x.size]))
-            end += ln_x.size
-    tail = vals[..., end:].reshape(vals.shape[:-1] + _gl_block(0, panels)[1].shape)
-    return vals[..., 0], first, tail
+    shape, vals = vals.shape[:-1], vals.reshape(-1, vals.shape[-1])
+    ln_x, ln_jac, spans = _first_levels()
+    w = np.exp(lam * ln_x + ln_jac)
+    with np.errstate(all="ignore"):     # levels past an entry's stop may hold anything
+        wv = w * vals[:, 1:1 + w.size]
+        # the branch sums, x -> 1 then x -> 0, one reduction per level
+        s = np.concatenate([np.add.reduce(wv[:, a:a + 2 * n].reshape(len(wv), 2, n), axis=2)
+                            for a, n in spans], axis=1)
+        sums = np.concatenate([(0.5 ** lam * vals[:, 0] * 0.25 * np.pi)[:, None],
+                               (0.0 + s[:, 0::2]) + s[:, 1::2]], axis=1)
+        accs = np.add.accumulate(sums, axis=1)[:, 1:]
+    return shape, accs, vals[:, 1 + w.size:].reshape((len(vals),) + _gl_block(0, panels)[1].shape)
 
 
 def integrate_unit_interval(f, lam, tol=1e-12):
     """int_0^1 x^lam f(x) dx, lam > -1; f elementwise over node arrays."""
-    center, first, _ = _first_call(f, lam, tol, 0)
-    return _unit_rule(f, lam, tol, center, first)
+    shape, accs, _ = _first_call(f, lam, tol, 0)
+    value, err = _unit_rule(f, lam, tol, accs)
+    return value.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def integrate_semiaxis(integrand, alpha, tol=1e-11):
     """int_0^inf tau^alpha integrand(tau) dtau, alpha > -1; see module docstring."""
-    center, first, tail = _first_call(integrand, alpha, tol, _FIRST_PANELS)
-    unit_val, unit_err = _unit_rule(integrand, alpha, 0.5 * tol, center, first)
+    shape, accs, tail = _first_call(integrand, alpha, tol, _FIRST_PANELS)
+    unit_val, unit_err = _unit_rule(integrand, alpha, 0.5 * tol, accs)
     tail_val, tail_err = _tail_rule(integrand, alpha, tol, tail)
-    return (unit_val + tail_val)[()], (unit_err + tail_err)[()]
+    return (unit_val + tail_val).reshape(shape)[()], (unit_err + tail_err).reshape(shape)[()]

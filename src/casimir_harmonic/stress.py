@@ -48,8 +48,11 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None
         raise ValueError("radius must be finite and >= 0")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
-    if tol / 3.0 == 0.0:    # each of the three profile integrals gets a third
-        raise ValueError(f"tol {tol!r} is too small: a third of it underflows to 0")
+    # each of the three profile integrals gets a third, and the quadrature's
+    # tail rule stops below 0.01 of that
+    if 0.01 * (tol / 3.0) == 0.0:
+        part = "a third of it" if tol / 3.0 == 0.0 else "0.01 of a third of it"
+        raise ValueError(f"tol {tol!r} is too small: {part} underflows to 0")
     xi = cfg.xi if coupling is None else coupling
     poly = build_P_polynomials(cfg.d, comp, xi, n=n, pipeline=pipeline)
     r_col = r[..., None]

@@ -204,6 +204,15 @@ def test_tol_whose_third_underflows_is_named_in_the_error(capsys):
                                        "to 0", "exit_code": 2}) + "\n"
 
 
+def test_tol_whose_tail_threshold_underflows_is_a_validation_error(capsys):
+    # asympt hands tol to the quadrature as given; 0.01 tol is 0 here
+    code, out, err = run(capsys, "asympt", "--d", "1", "--tol", "5e-324", "--r", "5", "10", "2")
+    assert code == 2
+    assert out == ""
+    assert err == json.dumps({"error": "tol 5e-324 is too small: the tail threshold 0.01 tol "
+                                       "underflows to 0", "exit_code": 2}) + "\n"
+
+
 def test_quadrature_failure_writes_only_its_error_record(capsys):
     # the non-finite values that make the quadrature fail would warn first
     with warnings.catch_warnings():

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from casimir_harmonic.quadrature import (QuadratureError, integrate_semiaxis,
-                                         integrate_unit_interval)
+from casimir_harmonic.quadrature import (_GL_HI, _GL_LO, QuadratureError, _gl_sum,
+                                         integrate_semiaxis, integrate_unit_interval)
 from casimir_harmonic.specfun import gamma
 
 
@@ -391,6 +391,128 @@ def test_non_finite_check_stops_at_each_entry():
         integrate_semiaxis(f, 0.0, _TOL)
     assert str(caught.value) == str(want.value) == (
         "semiaxis panel [16, 32] hit a non-finite integrand value")
+
+
+# -- the unit rule's blocks ---------------------------------------------------
+# The first call's tanh-sinh levels 1-3 are one block, each later level a
+# block of one.  At tol 1e-9 exp(-t) stops at level 2 and the peak at 0.4 at
+# level 3, on the unit interval and in the unit piece of the semiaxis.
+
+_STOPS_AT_LEVEL = {2: lambda t: np.exp(-t),
+                   3: lambda t: np.exp(-t) / (1.0 + 2.0 * (t - 0.4) ** 2)}
+
+
+def _got_and_want(f, alpha):
+    """(got, want) of the unit-interval rule, then of the semiaxis rule."""
+    return [(integrate_unit_interval(f, alpha, _TOL), _ref_unit(f, alpha, _TOL)[:2]),
+            (integrate_semiaxis(f, alpha, _TOL), _ref_semiaxis(alpha, f, _TOL)[:2])]
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_unit_entry_stops_inside_the_first_call(level, alpha):
+    f = _STOPS_AT_LEVEL[level]
+    assert _ref_unit(f, alpha, _TOL)[2] == _ref_semiaxis(alpha, f, _TOL)[2] == level
+    for got, want in _got_and_want(f, alpha):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_unit_stops_inside_the_first_call_stacked_with_a_long_entry(alpha):
+    entries = [_STOPS_AT_LEVEL[2], _STOPS_AT_LEVEL[3], _ENTRIES["kink"]]
+
+    def stacked(t):
+        return np.stack([f(t) for f in entries])
+
+    for i, (got, want) in enumerate(_got_and_want(stacked, alpha)):
+        assert _same_bits(got, want)
+        for f, value, err in zip(entries, *got):
+            assert _same_bits((value, err), _got_and_want(f, alpha)[i][1])
+
+
+def _spike_at_level(level, spike, f):
+    # spike on the x -> 0 branch of tanh-sinh level `level` (on the x -> 1
+    # branch several levels share the node x = 1), or at the centre if level
+    # is None, and f elsewhere
+    x = [0.5] if level is None else np.exp(_ref_ts_nodes(0.5 ** (level + 1), level > 0)[1])
+    return lambda t: np.where(np.isin(t, x), spike, f(t))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0])   # at 2.5 the spike's weights are too small
+def test_unit_entry_never_stops_at_level_1(alpha):
+    # 0 on levels 0 and 1, so their values agree, but not on level 2
+    f = _spike_at_level(2, 1e-8, lambda t: 0.0 * t)
+    assert _ref_unit(f, alpha, _TOL)[2] > 2
+    for got, want in _got_and_want(f, alpha):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_unit_block_past_a_stop_raises_no_warning(bad, alpha):
+    # level 3 is in the first call, but an entry that stops at level 2 never
+    # reads it, alone or stacked with an entry that runs on
+    f = _spike_at_level(3, bad, _STOPS_AT_LEVEL[2])
+
+    def stacked(t):
+        return np.stack([f(t), _ENTRIES["kink"](t)])
+
+    rules = (integrate_unit_interval, integrate_semiaxis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [integrate(f, alpha, _TOL) for integrate in rules]
+        together = [integrate(stacked, alpha, _TOL) for integrate in rules]
+    for got, got_stacked, (_, want), (_, want_kink) in zip(
+            alone, together, _got_and_want(f, alpha), _got_and_want(_ENTRIES["kink"], alpha)):
+        assert _same_bits(got, want)
+        assert _same_bits(got_stacked, np.stack([want, want_kink], axis=-1))
+
+
+@pytest.mark.parametrize("stop,level", [(2, None), (2, 0), (2, 1), (2, 2), (3, 3)])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+def test_unit_non_finite_value_up_to_the_stop_raises(stop, level, bad, alpha):
+    f = _spike_at_level(level, bad, _STOPS_AT_LEVEL[stop])
+    message = "^unit-interval rule hit a non-finite integrand value$"
+    for integrate in (lambda: _ref_unit(f, alpha, _TOL), lambda: integrate_unit_interval(f, alpha, _TOL),
+                      lambda: integrate_semiaxis(f, alpha, _TOL)):
+        with pytest.raises(QuadratureError, match=message), np.errstate(invalid="ignore"):
+            integrate()     # the reference's weights of 0 times inf warn
+
+
+# -- panel sums ---------------------------------------------------------------
+
+def _dot_rows(w, vals):
+    rows = vals.reshape(-1, vals.shape[-1])
+    return np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 7), (2, 5, 6), (3, 4000)])
+def test_panel_sums_keep_the_bits_of_one_dot_per_row(shape):
+    # 12000 rows in the last case, as on a 4000-radius stress grid
+    rng = np.random.default_rng(19)
+    vals = rng.standard_normal(shape + (60,)) * np.exp(rng.uniform(-40.0, 40.0, shape + (60,)))
+    for w, part in ((_GL_HI[1], vals[..., :40]), (_GL_LO[1], vals[..., 40:]),
+                    (_GL_LO[1], vals[..., ::3])):   # the last is inner-strided
+        assert np.array_equal(_bits(_gl_sum(1.5, w, part)), _bits(1.5 * _dot_rows(w, part)))
+
+
+def test_tol_whose_tail_threshold_underflows_is_rejected_before_any_call():
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return np.exp(-t)
+
+    # 0.01 tol is 0 up to 2.4e-322; the unit-interval rule has no such threshold
+    for tol in (5e-324, 2.4e-322):
+        with pytest.raises(ValueError, match=f"^tol {tol!r} is too small: the tail threshold"):
+            integrate_semiaxis(counted, 0.3, tol)
+    assert calls == []
+    value, _ = integrate_semiaxis(counted, 0.3, 2.47e-322)
+    assert value == pytest.approx(gamma(1.3), rel=1e-14)
+    value, _ = integrate_unit_interval(counted, 0.3, 5e-324)
+    assert math.isfinite(value)
 
 
 _BAD_INPUTS = [(math.nan, 1e-9), (math.inf, 1e-9), (-1.0, 1e-9),

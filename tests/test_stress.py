@@ -127,6 +127,25 @@ def test_nonfinite_input_is_a_validation_error(call):
         call()
 
 
+def test_every_tol_the_quadrature_rejects_is_named_as_given():
+    # the profile integrals get tol / 3, and integrate_semiaxis rejects a tol
+    # whose hundredth, its tail threshold, underflows to 0; stress_profiles
+    # must name the tol it was given, not its third
+    from casimir_harmonic.quadrature import integrate_semiaxis
+
+    tol = 5e-324
+    while True:
+        try:
+            integrate_semiaxis(lambda t: np.exp(-t), 0.3, tol / 3.0)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^tol {tol!r} is too small: "):
+                stress_profiles(HarmonicConfig(d=1), "tt", 1.0, tol=tol)
+            tol = float(np.nextafter(tol, 1.0))
+        else:
+            break
+    assert tol > 7e-322
+
+
 def test_scale_at_the_edge_of_the_float_range_is_accepted():
     # 1e77^4 = 1e308 is finite
     big = stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", 0.5)

@@ -2,13 +2,15 @@
 
     python3 tools/cli_diff.py OLD_TREE NEW_TREE
 
-Runs 29 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON
-quantizer), 21 ``asympt`` (three reach down to r = 1 or below, where the incomplete-gamma
-tail term of the large-r bound is largest; one of them is JSON), 3 ``energy`` requests,
-``selftest`` and 7 requests that fail (one quadrature failure, exit 3, and six rejected
-inputs, exit 2: a non-finite radius, a zero radius for ``asympt``, a k whose k^(d+1)
-overflows, an ``--output`` that is a directory, 1e12 radii, and a ``--tol`` whose third
-underflows to 0) with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of
+Runs 30 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON quantizer;
+one on 4000 radii sums tens of thousands of tail-panel rows in one quadrature call), 21
+``asympt`` (three reach down to r = 1 or below, where the incomplete-gamma tail term of the
+large-r bound is largest; one of them is JSON), 3 ``energy`` requests, ``selftest`` and 8
+requests that fail (one quadrature failure, exit 3, and seven rejected inputs, exit 2: a
+non-finite radius, a zero radius for ``asympt``, a k whose k^(d+1) overflows, an
+``--output`` that is a directory, 1e12 radii, a ``stress --tol`` whose third underflows to
+0 and an ``asympt --tol`` whose hundredth, the quadrature's tail threshold, does)
+with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of
 stderr only the final line counts, the JSON error record of a failed request; the warnings
 before it may come in any order.  Per request it prints "byte-identical" or a changed exit code or error
 record and each changed cell ([row key] column: old -> new |delta| and |delta|/|old|,
@@ -36,7 +38,8 @@ def requests():
               "--kappa-over-k", "1.7"] for d, c, xi in stress]
             + [["stress", "--d", "2", "--component", "rr", "--xi", "0.3", "--k", "2.5",
                 "--r", "0", "7", "4"],
-               ["stress", "--d", "3", "--xi", "0.3", "--r", "0", "7", "4", "--format", "json"]]
+               ["stress", "--d", "3", "--xi", "0.3", "--r", "0", "7", "4", "--format", "json"],
+               ["stress", "--d", "3", "--r", "0", "5", "4000"]]
             + [["asympt", "--d", d, "--part", p, "--component", c, "--xi", "0.2",
                 "--r", "4.5", "11", "2"] for d, p, c in asympt]
             + [["asympt", "--d", "1", "--r", "0.5", "3", "3"],
@@ -51,7 +54,8 @@ def requests():
                ["stress", "--d", "3", "--k", "1e100"],
                ["energy", "--d", "1", "--output", "."],
                ["stress", "--d", "1", "--r", "0", "5", "1e12"],
-               ["stress", "--d", "1", "--tol", "5e-324", "--r", "0", "5", "2"]])
+               ["stress", "--d", "1", "--tol", "5e-324", "--r", "0", "5", "2"],
+               ["asympt", "--d", "1", "--tol", "5e-324", "--r", "5", "10", "2"]])
 
 
 def run(tree, argv):
