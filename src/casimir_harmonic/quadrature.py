@@ -138,8 +138,35 @@ def _unit_rule(f, lam, tol, accs):
         seq = np.stack([value, h * acc], axis=1)
 
 
-_GL_HI = np.polynomial.legendre.leggauss(40)
-_GL_LO = np.polynomial.legendre.leggauss(20)
+def _gl_rule(nodes, weights):
+    """Read-only (nodes, weights) of a Gauss-Legendre rule on [-1, 1] from the
+    ascending positive half of each; the rule is symmetric about 0."""
+    x = np.concatenate([-np.array(nodes[::-1]), nodes])
+    w = np.concatenate([weights[::-1], weights])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+# Bit for bit np.polynomial.legendre.leggauss(40) and (20), as a test checks;
+# literals keep numpy.polynomial and its eigensolve out of every import.
+_GL_HI = _gl_rule(
+    [0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+     0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+     0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+     0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+     0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591],
+    [0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+     0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+     0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+     0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+     0.022245849194166653, 0.016421058381906828, 0.010498284531153814, 0.004521277098536349])
+_GL_LO = _gl_rule(
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+     0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+     0.9639719272779138, 0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+     0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+     0.040601429800386446, 0.017614007139150893])
 
 
 def _gl_sum(half, w, vals):

@@ -20,7 +20,7 @@ positive, so decay is required only where it is negative.
 
 import pytest
 
-from casimir_harmonic.cli import CRITERIA, run_criterion
+from casimir_harmonic.selftest import CRITERIA, run_criterion
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA), ids="c{:02d}".format)

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from casimir_harmonic import __version__, cli
+from casimir_harmonic import __version__, selftest
 from casimir_harmonic.cli import main
 
 
@@ -249,7 +249,7 @@ def test_selftest_passing_subset_exits_0(capsys):
 def test_selftest_failing_criterion_exits_3(capsys, monkeypatch):
     # a failing criterion must be reported as FAIL with exit 3, not hidden;
     # a stub stands in for criterion 7 so the check needs no real miss.
-    monkeypatch.setitem(cli.CRITERIA, 7,
+    monkeypatch.setitem(selftest.CRITERIA, 7,
                         ("stub", lambda: (False, "always fails")))
     code, out, _ = run(capsys, "selftest", "--criteria", "7")
     assert code == 3

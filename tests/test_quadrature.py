@@ -273,6 +273,14 @@ def test_tanh_sinh_nodes_are_built_once_and_read_only(odd_only):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("got, want", [(_GL_HI, _REF_GL_HI), (_GL_LO, _REF_GL_LO)],
+                         ids=["40-point", "20-point"])
+def test_gauss_legendre_tables_are_leggauss_and_read_only(got, want):
+    for table, ref in zip(got, want):
+        assert not table.flags.writeable
+        assert [v.hex() for v in table.tolist()] == [v.hex() for v in ref.tolist()]
+
+
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_one_integrand_call_per_step(name, alpha):

@@ -5,11 +5,13 @@
 Runs 30 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON quantizer;
 one on 4000 radii sums tens of thousands of tail-panel rows in one quadrature call), 21
 ``asympt`` (three reach down to r = 1 or below, where the incomplete-gamma tail term of the
-large-r bound is largest; one of them is JSON), 3 ``energy`` requests, ``selftest`` and 8
-requests that fail (one quadrature failure, exit 3, and seven rejected inputs, exit 2: a
-non-finite radius, a zero radius for ``asympt``, a k whose k^(d+1) overflows, an
-``--output`` that is a directory, 1e12 radii, a ``stress --tol`` whose third underflows to
-0 and an ``asympt --tol`` whose hundredth, the quadrature's tail threshold, does)
+large-r bound is largest; one of them is JSON), 3 ``energy`` requests, 3 ``selftest``
+requests (every criterion as CSV and as JSON, criteria 3 and 11) and 10 requests that
+fail (one quadrature failure, exit 3, and nine rejected inputs, exit 2: a non-finite
+radius, a zero radius for ``asympt``, a k whose k^(d+1) overflows, an ``--output`` that
+is a directory, 1e12 radii, a ``stress --tol`` whose third underflows to 0, an ``asympt
+--tol`` whose hundredth, the quadrature's tail threshold, does, a criterion number that
+does not exist and a criteria list that is not numbers)
 with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of
 stderr only the final line counts, the JSON error record of a failed request; the warnings
 before it may come in any order.  Per request it prints "byte-identical" or a changed exit code or error
@@ -47,7 +49,8 @@ def requests():
                 "--r", "0.25", "2", "4", "--format", "json"],
                ["asympt", "--d", "3", "--part", "raw", "--component", "theta1theta1_reduced",
                 "--xi", "0.2", "--r", "1", "6", "3"]]
-            + [["energy", "--d", d] for d in "123"] + [["selftest"]]
+            + [["energy", "--d", d] for d in "123"]
+            + [["selftest"], ["selftest", "--format", "json"], ["selftest", "--criteria", "3,11"]]
             + [["stress", "--d", "3", "--component", "tt", "--tol", "1e-300", "--r", "0", "5", "2"],
                ["stress", "--d", "1", "--r", "0", "nan", "11"],
                ["asympt", "--d", "2", "--r", "0", "5", "3"],
@@ -55,7 +58,9 @@ def requests():
                ["energy", "--d", "1", "--output", "."],
                ["stress", "--d", "1", "--r", "0", "5", "1e12"],
                ["stress", "--d", "1", "--tol", "5e-324", "--r", "0", "5", "2"],
-               ["asympt", "--d", "1", "--tol", "5e-324", "--r", "5", "10", "2"]])
+               ["asympt", "--d", "1", "--tol", "5e-324", "--r", "5", "10", "2"],
+               ["selftest", "--criteria", "12"],
+               ["selftest", "--criteria", "x"]])
 
 
 def run(tree, argv):
