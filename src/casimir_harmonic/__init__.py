@@ -22,4 +22,4 @@ from .quadrature import (QuadratureError, integrate_semiaxis,
 from .specfun import (EULER_GAMMA, digamma, g_log_gamma, gamma, hurwitz_zeta,
                       lower_gamma, riemann_zeta, upper_gamma)
 from .stress import (StressValue, conformal_split, stress_component,
-                     stress_grid, stress_profiles)
+                     stress_profiles)

@@ -303,9 +303,9 @@ def _v_chart_samples(family, v0, order):
 
 
 # The |.| integrands of the envelopes kink where a coefficient changes sign,
-# so tanh-sinh converges there only at deep levels.  Each result enters a
-# bound as value + error, an upper estimate at any tolerance, so these
-# integrals run only as accurately as a bound needs.
+# so the double-exponential rules converge there only at deep levels.  Each
+# result enters a bound as value + error, an upper estimate at any
+# tolerance, so these integrals run only as accurately as a bound needs.
 _REMAINDER_TOL = 1e-6      # small-r remainder integrals of |m_i(tau)|
 _TAIL_TOL = 1e-4           # large-r tail integrals of |q_i(v)| past v0
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuation import build_P_polynomials, renorm_scale_constant
 from .kernels import COMPONENTS, part_coupling
-from .quadrature import integrate_semiaxis
+from .quadrature import TAIL_SHARE, integrate_semiaxis
 
 
 @dataclass
@@ -49,9 +49,9 @@ def stress_profiles(cfg, comp, r, tol=1e-9, n=None, pipeline=None, coupling=None
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     # each of the three profile integrals gets a third, and the quadrature's
-    # tail rule stops below 0.01 of that
-    if 0.01 * (tol / 3.0) == 0.0:
-        part = "a third of it" if tol / 3.0 == 0.0 else "0.01 of a third of it"
+    # tail threshold is TAIL_SHARE of that
+    if TAIL_SHARE * (tol / 3.0) == 0.0:
+        part = "a third of it" if tol / 3.0 == 0.0 else f"{TAIL_SHARE:g} of a third of it"
         raise ValueError(f"tol {tol!r} is too small: {part} underflows to 0")
     xi = cfg.xi if coupling is None else coupling
     poly = build_P_polynomials(cfg.d, comp, xi, n=n, pipeline=pipeline)
@@ -94,9 +94,3 @@ def conformal_split(cfg, comp, r, tol=1e-9):
         [pair if isinstance(pair, tuple) else (1.0, pair) for pair in pairs])))
     return {part: _stress_value(cfg, comp, r, (t0[i], t1[i])) for i, part in enumerate(parts)}
 
-
-def stress_grid(cfg, comp, r_values, tol=1e-9):
-    """StressValue at each radius of an iterable, in order."""
-    radii = [float(r) for r in r_values]
-    grid = stress_component(cfg, comp, np.array(radii), tol)
-    return [StressValue(comp, *fields) for fields in zip(radii, grid.t0, grid.t1, grid.vev)]

@@ -3,10 +3,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import quadrature_reference as ref
 
-from casimir_harmonic.quadrature import (_GL_HI, _GL_LO, QuadratureError, _gl_sum,
+from casimir_harmonic.quadrature import (QuadratureError, _es_table, _sums,
                                          integrate_semiaxis, integrate_unit_interval)
 from casimir_harmonic.specfun import gamma
 
@@ -116,15 +118,15 @@ def test_stacked_nan_entry_raises():
         integrate_semiaxis(stacked, 0.0, tol=1e-10)
 
 
-# -- the rules with no shared first call ------------------------------------
-# Each rule calls f on its own, once per tanh-sinh branch and once per
-# Gauss-Legendre rule.  The rules with their wide first call must return
-# these values and errors bit for bit.  Both references also return how far
-# they ran: the last tanh-sinh level and the number of tail panels.
+# -- references -----------------------------------------------------------------
+# ``_ref_unit`` is the tanh-sinh rule with no shared first call: one call of f
+# per branch, level by level.  ``quadrature_reference.semiaxis`` is the
+# exp-sinh rule with one call of f per piece of each level.  The rules in the
+# package, with their wide first call, must return these values and errors bit
+# for bit.  Both references also return how far they ran: the last level and,
+# for exp-sinh, each entry's top piece.
 
 _REF_MAX_LEVEL = 11
-_REF_GL_HI = np.polynomial.legendre.leggauss(40)
-_REF_GL_LO = np.polynomial.legendre.leggauss(20)
 
 
 def _ref_ts_nodes(h, odd_only):
@@ -179,41 +181,8 @@ def _ref_unit(f, lam, tol):
     return value[()], err[()], level
 
 
-def _ref_gl_rule(g, a, b, rule):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xi, w = rule
-    vals = np.asarray(g(mid + half * xi), dtype=float)
-    rows = vals.reshape(-1, vals.shape[-1])
-    return half * np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
-
-
 def _ref_semiaxis(alpha, f, tol):
-    unit_val, unit_err, level = _ref_unit(f, alpha, 0.5 * tol)
-
-    def tail_g(x):
-        return x ** alpha * np.asarray(f(x), dtype=float)
-
-    tail_val, tail_err, prev_mag, panels = 0.0, 0.0, np.inf, 0
-    active = np.ones(np.shape(unit_val), dtype=bool)
-    a = 1.0
-    while a < 16384.0 and active.any():
-        b = 2.0 * a
-        hi, lo = _ref_gl_rule(tail_g, a, b, _REF_GL_HI), _ref_gl_rule(tail_g, a, b, _REF_GL_LO)
-        panels += 1
-        if not np.isfinite(hi[active]).all():
-            raise QuadratureError(f"semiaxis panel [{a:g}, {b:g}] hit a non-finite integrand value")
-        mag = abs(hi)
-        done = active & (mag < 0.01 * tol) & (mag < prev_mag)
-        ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
-        bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
-        tail_val = np.where(active, tail_val + hi, tail_val)
-        tail_err = np.where(active, tail_err + abs(hi - lo) + bound, tail_err)
-        active &= ~done
-        prev_mag = np.where(mag > 0.0, mag, prev_mag)
-        a = b
-    if active.any():
-        raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
-    return (unit_val + tail_val)[()], (unit_err + tail_err)[()], level, panels
+    return ref.semiaxis(f, alpha, tol)
 
 
 def _bits(x):
@@ -226,8 +195,9 @@ def _same_bits(got, want):
 
 
 # at tol 1e-9 a smooth entry stops at a middle level, the kink at 1/3 runs
-# to the last level, the zero entry stops at level 2, the first level that
-# can stop, and the oscillating entry's tail runs longer than its unit rule
+# to the last level (on the semiaxis to level 10 or 11), the zero entry stops
+# at level 2, the first level that can stop, and the oscillating entry runs
+# past the semiaxis rule's first call
 _TOL = 1e-9
 _ENTRIES = {"smooth": lambda t: np.exp(-t) / (1.0 + 100.0 * (t - 0.4) ** 2),
             "kink": lambda t: np.abs(t - 1.0 / 3.0) * np.exp(-t),
@@ -247,8 +217,10 @@ def test_reference_covers_every_stopping_level(alpha):
     levels = {name: _ref_unit(f, alpha, _TOL)[2] for name, f in _ENTRIES.items()}
     assert 2 < levels["smooth"] < _REF_MAX_LEVEL
     assert (levels["kink"], levels["zero"]) == (_REF_MAX_LEVEL, 2)
-    _, _, level, panels = _ref_semiaxis(alpha, _ENTRIES["oscillating"], _TOL)
-    assert panels - 1 > 2 * (level - 2)
+    levels = {name: _ref_semiaxis(alpha, f, _TOL)[2] for name, f in _ENTRIES.items()}
+    assert 2 < levels["smooth"] < levels["oscillating"] < _REF_MAX_LEVEL
+    assert (levels["kink"] >= _REF_MAX_LEVEL - 1, levels["zero"]) == (True, 2)
+    assert levels["oscillating"] > ref.FIRST_LEVEL
 
 
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
@@ -273,12 +245,22 @@ def test_tanh_sinh_nodes_are_built_once_and_read_only(odd_only):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("got, want", [(_GL_HI, _REF_GL_HI), (_GL_LO, _REF_GL_LO)],
-                         ids=["40-point", "20-point"])
-def test_gauss_legendre_tables_are_leggauss_and_read_only(got, want):
-    for table, ref in zip(got, want):
-        assert not table.flags.writeable
-        assert [v.hex() for v in table.tolist()] == [v.hex() for v in ref.tolist()]
+def test_exp_sinh_nodes_are_built_once_and_read_only():
+    keys = tuple((level, k) for level in range(6) for k in range(3))
+    first = _es_table(keys)
+    assert _es_table(keys) is first
+    t = np.concatenate([ref.piece_t(level, k) for level, k in keys])
+    assert np.array_equal(first[0], np.exp(0.5 * np.pi * np.sinh(t)))
+    assert all(not a.flags.writeable for a in first[:3])
+    # the pieces tile each level's grid from tau = e^-634 up to 256, and a
+    # level holds only the odd multiples of its step
+    for level in range(6):
+        h = 0.5 ** (level + 1)
+        t = np.concatenate([ref.piece_t(level, k) for k in range(3)])
+        assert np.all(np.diff(t) == (h if level == 0 else 2 * h))
+        assert t[0] - (h if level == 0 else 2 * h) <= ref.LOW < t[0]
+        assert 0.5 * np.pi * np.sinh(ref.LOW) == pytest.approx(-np.pi * np.sinh(6.0))
+    assert np.exp(0.5 * np.pi * np.sinh(ref.TOPS)) == pytest.approx(64.0 * 2.0 ** np.arange(9))
 
 
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
@@ -290,44 +272,24 @@ def test_one_integrand_call_per_step(name, alpha):
         calls.append(len(t))
         return _INTEGRANDS[name](t)
 
-    _, _, level, panels = _ref_semiaxis(alpha, _INTEGRANDS[name], _TOL)
+    _, _, level, top = _ref_semiaxis(alpha, _INTEGRANDS[name], _TOL)
     integrate_semiaxis(counted, alpha, _TOL)
-    assert len(calls) <= 1 + max(2 * (level - 2), panels - 1)
-    # one wide first call (levels 0-3, panels up to tau = 64), then one call
-    # per further tanh-sinh branch and, once that rule ends, per further panel
-    assert len(calls) == 1 + 2 * max(level - 3, 0) + max(panels - 6, 0)
+    # one wide first call (levels 0-4 up to tau = 64), one call per tail
+    # doubling past it, then one call per further level
+    assert len(calls) == 1 + np.max(top) + max(level - ref.FIRST_LEVEL, 0)
     calls.clear()
     integrate_unit_interval(counted, alpha, _TOL)
-    assert len(calls) <= 1 + 2 * (_ref_unit(_INTEGRANDS[name], alpha, _TOL)[2] - 2)
     level = _ref_unit(_INTEGRANDS[name], alpha, _TOL)[2]
-    assert len(calls) == 1 + 2 * max(level - 3, 0)
-
-
-def _kink_unit_then(tail):
-    # the kink makes the unit rule stall at tol 1e-14; tail(t) takes over at t >= 1
-    def f(t):
-        return np.where(t < 1.0, np.abs(t - 1.0 / 3.0), tail(t))
-    return f
-
-
-@pytest.mark.parametrize("tail", [lambda t: np.where(t > 2.0, np.nan, 1.0),
-                                  lambda t: np.ones_like(t)])
-def test_unit_failure_wins_over_tail_failure(tail):
-    f = _kink_unit_then(tail)
-    with pytest.raises(QuadratureError, match="unit-interval rule stalled") as caught:
-        integrate_semiaxis(f, 0.0, 1e-14)
-    with pytest.raises(QuadratureError) as want:
-        _ref_semiaxis(0.0, f, 1e-14)
-    assert str(caught.value) == str(want.value)
+    assert len(calls) == 1 + max(level - 3, 0)
 
 
 @pytest.mark.parametrize("f,message", [
-    (lambda t: np.where(t > 2.0, np.nan, np.exp(-t)),
-     "semiaxis panel [2, 4] hit a non-finite integrand value"),
+    (lambda t: np.where(t > 40.0, np.nan, np.exp(-t)),
+     "semiaxis panel [32, 64] hit a non-finite integrand value"),
     (lambda t: np.ones_like(t),
      "semiaxis tail did not decay below tolerance by tau = 16384"),
     (lambda t: np.where(t < 0.5, np.nan, np.exp(-t)),
-     "unit-interval rule hit a non-finite integrand value"),
+     "semiaxis rule hit a non-finite integrand value"),
 ])
 def test_failure_messages(f, message):
     with pytest.raises(QuadratureError) as caught:
@@ -335,51 +297,82 @@ def test_failure_messages(f, message):
     assert str(caught.value) == message
 
 
-# -- the tail rule's blocks ---------------------------------------------------
-# The first call's six panels [1, 2] ... [32, 64] are one block, each later
-# panel a block of one.  At tol 1e-9, exp(-a t) with a = 38 / 2^k first has
-# |panel sum| < 0.01 tol on panel k, the panel [2^k, 2^(k+1)].
+# -- the tail doublings -------------------------------------------------------
+# The first call reaches tau = 64; an entry whose top doubling (32, 64] still
+# holds 0.01 tol or more takes the doubling (64, 128], and so on.  At tol 1e-9,
+# exp(-a t) with a = 38 / (32 * 2^k) stops at the doubling ending at 64 * 2^k.
 
 def _stops_at(k):
-    return lambda t: np.exp(-38.0 / 2.0 ** k * t)
+    return lambda t: np.exp(-38.0 / (32.0 * 2.0 ** k) * t)
 
 
 _BLOCK_EDGES = [_stops_at(k) for k in range(6)]
-# tail 0 on [2, 4] and [4, 8] between nonzero panels: the zero panel stops
-# the entry, and the magnitude carried past it skips the zeros
-_ZERO_GAP = lambda t: np.exp(-t) * ((t < 2.0) | (t > 8.0))   # noqa: E731
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 7])   # 7: in a one-panel block
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 7])   # 0: inside the first call
 def test_entry_stops_at_each_block_edge(k):
     f = _stops_at(k)
     want = _ref_semiaxis(0.5, f, _TOL)
-    assert want[3] == k + 1
+    assert want[3] == k
     assert _same_bits(integrate_semiaxis(f, 0.5, _TOL), want[:2])
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_stacked_entries_stop_at_every_block_edge(alpha):
-    # six first-call stops, a zero gap and a stop at [128, 256], past tau = 64
-    entries = _BLOCK_EDGES + [_ZERO_GAP, _stops_at(7)]
+    # six tops from the first call's on, a zero entry and a top at 8192
+    entries = _BLOCK_EDGES + [_ENTRIES["zero"], _stops_at(7)]
 
     def stacked(t):
         return np.stack([f(t) for f in entries])
 
     assert [_ref_semiaxis(alpha, f, _TOL)[3] for f in entries] in (
-        [1, 2, 3, 4, 5, 6, 2, 8], [1, 2, 3, 4, 5, 6, 2, 9])
+        [0, 1, 2, 3, 4, 5, 0, 7], [0, 1, 2, 3, 5, 6, 0, 8])
     got = integrate_semiaxis(stacked, alpha, _TOL)
     assert _same_bits(got, _ref_semiaxis(alpha, stacked, _TOL)[:2])
     for f, value, err in zip(entries, *got):
         assert _same_bits((value, err), _ref_semiaxis(alpha, f, _TOL)[:2])
 
 
+def test_first_call_evaluates_no_node_past_tau_64():
+    calls = []
+
+    def stacked(t):
+        calls.append(t.max())
+        return np.stack([f(t) for f in _BLOCK_EDGES + [_stops_at(7)]])
+
+    integrate_semiaxis(stacked, 0.5, _TOL)
+    assert calls[0] <= 64.0
+    # one further call per doubling up to tau = 64 * 2^7, then the levels
+    assert [c > 64.0 * 2.0 ** k for k, c in enumerate(calls[1:8])] == [True] * 7
+    calls.clear()
+    integrate_semiaxis(lambda t: calls.append(t.max()) or np.exp(-t), 0.5, _TOL)
+    assert max(calls) <= 64.0
+
+
+@pytest.mark.parametrize("f", [lambda t: np.ones_like(t), lambda t: 1.0 / (1.0 + t),
+                               lambda t: np.exp(-t / 2000.0)], ids=["one", "power", "slow"])
+def test_non_decaying_integrand_raises_at_16384(f):
+    tops = []
+
+    def counted(t):
+        tops.append(t.max())
+        return f(t)
+
+    with pytest.raises(QuadratureError, match=r"^semiaxis tail did not decay below tolerance by tau = 16384$"):
+        integrate_semiaxis(counted, 0.0, 1e-9)
+    assert 8192.0 < max(tops) <= 16384.0
+
+
 def test_block_past_a_stop_raises_no_warning():
-    # inf on the first call's panels past tau = 9, which the entry never reaches
+    # inf on the nodes new at levels 3 and 4 below tau = 32, which an entry
+    # that stops at level 2 never reads
+    x = np.concatenate([np.exp(0.5 * np.pi * np.sinh(ref.piece_t(level, 0))) for level in (3, 4)])
+
     def f(t):
-        return np.where(t > 9.0, np.inf, np.exp(-8.0 * t))
+        return np.where(np.isin(t, x[x <= 32.0]), np.inf, np.exp(-8.0 * t))
 
     want = _ref_semiaxis(0.5, f, 1e-6)
+    assert want[2] == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = integrate_semiaxis(f, 0.5, 1e-6)
@@ -387,24 +380,85 @@ def test_block_past_a_stop_raises_no_warning():
 
 
 def test_non_finite_check_stops_at_each_entry():
-    # entry 0 stops at [2, 4] and is NaN past 4; entry 1 runs on and is NaN
-    # past 16: the first panel read while non-finite is [16, 32]
+    # entry 0 stops at tau = 64 and is NaN past it; entry 1 runs on and is NaN
+    # past 160: the first doubling read while non-finite is [128, 256]
     def f(t):
-        return np.stack([np.where(t > 4.0, np.nan, _stops_at(1)(t)),
-                         np.where(t > 16.0, np.nan, np.exp(-t))])
+        return np.stack([np.where(t > 64.0, np.nan, np.exp(-t)),
+                         np.where(t > 160.0, np.nan, _stops_at(4)(t))])
 
     with pytest.raises(QuadratureError) as want:
         _ref_semiaxis(0.0, f, _TOL)
     with pytest.raises(QuadratureError) as caught:
         integrate_semiaxis(f, 0.0, _TOL)
     assert str(caught.value) == str(want.value) == (
-        "semiaxis panel [16, 32] hit a non-finite integrand value")
+        "semiaxis panel [128, 256] hit a non-finite integrand value")
 
 
-# -- the unit rule's blocks ---------------------------------------------------
-# The first call's tanh-sinh levels 1-3 are one block, each later level a
-# block of one.  At tol 1e-9 exp(-t) stops at level 2 and the peak at 0.4 at
-# level 3, on the unit interval and in the unit piece of the semiaxis.
+# -- the contract's accuracy ----------------------------------------------------
+
+@pytest.mark.parametrize("lam", [-0.95, -0.9, -0.5, 0.0, 2.0])
+def test_gamma_integrals_meet_tol(lam):
+    # int_0^inf t^lam e^-t dt = Gamma(lam + 1); near lam = -1 the mass below
+    # the lowest node, tau = e^-634, is e^(-634 (lam + 1)) / (lam + 1)
+    with mpmath.workdps(30):
+        want = mpmath.gamma(lam + 1)
+    value, err = integrate_semiaxis(lambda t: np.exp(-t), lam, 1e-12)
+    assert abs(value - float(want)) <= 1e-12
+    assert err <= 1e-12
+
+
+def test_weight_next_to_minus_one_meets_tol_or_raises():
+    try:
+        value, _ = integrate_semiaxis(lambda t: np.exp(-t), -0.99, 1e-12)
+    except QuadratureError as exc:
+        assert str(exc).startswith("semiaxis rule stalled")
+    else:
+        with mpmath.workdps(30):
+            assert abs(value - float(mpmath.gamma(0.01))) <= 1e-12
+
+
+def _kinked_tail():
+    # int_0^inf |sin t| e^(-a t) dt = coth(a pi / 2) / (1 + a^2); the kinks at
+    # every multiple of pi reach far into the tail
+    a = 0.3
+    with mpmath.workdps(30):
+        want = float(mpmath.coth(a * mpmath.pi / 2) / (1 + a * a))
+    return lambda t: np.abs(np.sin(t)) * np.exp(-a * t), want
+
+
+def test_kinked_tail_meets_tol_or_raises():
+    f, want = _kinked_tail()
+    try:
+        value, _ = integrate_semiaxis(f, 0.0, 1e-9)
+    except QuadratureError as exc:
+        assert str(exc).startswith("semiaxis rule stalled")
+    else:
+        assert abs(value - want) <= 1e-9
+
+
+def test_kinked_tail_error_covers_what_a_loose_tol_accepts():
+    # the last level's error is within 100 tol, so the rule returns it
+    f, want = _kinked_tail()
+    value, err = integrate_semiaxis(f, 0.0, 1e-7)
+    assert 1e-7 < err <= 1e-5
+    assert abs(value - want) <= err
+
+
+@pytest.mark.parametrize("a", [1.6, 3.3])
+def test_kink_whose_levels_agree_by_chance_meets_tol(a):
+    # int_0^inf |t - a| e^-t dt = a - 1 + 2 e^-a.  At tol 1e-7 two levels agree
+    # by chance (level 7 against level 6) while the ones before still fall by
+    # about 4 a level, as a kink's do; stopping there would miss by 18-20 tol
+    want = a - 1.0 + 2.0 * math.exp(-a)
+    value, err = integrate_semiaxis(lambda t: np.abs(t - a) * np.exp(-t), 0.0, 1e-7)
+    assert abs(value - want) <= min(err, 1e-7)
+    assert _ref_semiaxis(0.0, lambda t: np.abs(t - a) * np.exp(-t), 1e-7)[2] > 7
+
+
+# -- the nested levels ---------------------------------------------------------
+# The first call's levels are one block, each later level a block of one.  At
+# tol 1e-9 exp(-t) stops at level 2 on the unit interval, and the peak at 0.4 at
+# level 3; on the semiaxis both stop at level 3 or 4, inside the first call.
 
 _STOPS_AT_LEVEL = {2: lambda t: np.exp(-t),
                    3: lambda t: np.exp(-t) / (1.0 + 2.0 * (t - 0.4) ** 2)}
@@ -420,7 +474,8 @@ def _got_and_want(f, alpha):
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_unit_entry_stops_inside_the_first_call(level, alpha):
     f = _STOPS_AT_LEVEL[level]
-    assert _ref_unit(f, alpha, _TOL)[2] == _ref_semiaxis(alpha, f, _TOL)[2] == level
+    assert _ref_unit(f, alpha, _TOL)[2] == level
+    assert 2 < _ref_semiaxis(alpha, f, _TOL)[2] <= ref.FIRST_LEVEL
     for got, want in _got_and_want(f, alpha):
         assert _same_bits(got, want)
 
@@ -438,11 +493,19 @@ def test_unit_stops_inside_the_first_call_stacked_with_a_long_entry(alpha):
             assert _same_bits((value, err), _got_and_want(f, alpha)[i][1])
 
 
+def _level_nodes(level):
+    """The nodes new at `level` of both rules: tanh-sinh on the x -> 0 branch
+    (on the x -> 1 branch several levels share the node x = 1) or the centre
+    if level is None, and exp-sinh up to tau = 32, or its node tau = 1."""
+    if level is None:
+        return np.array([0.5, 1.0])
+    x = np.exp(0.5 * np.pi * np.sinh(ref.piece_t(level, 0)))
+    return np.concatenate([np.exp(_ref_ts_nodes(0.5 ** (level + 1), level > 0)[1]), x[x <= 32.0]])
+
+
 def _spike_at_level(level, spike, f):
-    # spike on the x -> 0 branch of tanh-sinh level `level` (on the x -> 1
-    # branch several levels share the node x = 1), or at the centre if level
-    # is None, and f elsewhere
-    x = [0.5] if level is None else np.exp(_ref_ts_nodes(0.5 ** (level + 1), level > 0)[1])
+    # spike on the nodes new at `level` of both rules, and f elsewhere
+    x = _level_nodes(level)
     return lambda t: np.where(np.isin(t, x), spike, f(t))
 
 
@@ -451,6 +514,7 @@ def test_unit_entry_never_stops_at_level_1(alpha):
     # 0 on levels 0 and 1, so their values agree, but not on level 2
     f = _spike_at_level(2, 1e-8, lambda t: 0.0 * t)
     assert _ref_unit(f, alpha, _TOL)[2] > 2
+    assert _ref_semiaxis(alpha, f, _TOL)[2] > 2
     for got, want in _got_and_want(f, alpha):
         assert _same_bits(got, want)
 
@@ -459,19 +523,24 @@ def test_unit_entry_never_stops_at_level_1(alpha):
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_unit_block_past_a_stop_raises_no_warning(bad, alpha):
     # level 3 is in the first call, but an entry that stops at level 2 never
-    # reads it, alone or stacked with an entry that runs on
+    # reads it, alone or stacked with an entry that runs on; on the semiaxis
+    # exp(-t) at tol 1e-3 stops at level 2 or 3, before level 4
     f = _spike_at_level(3, bad, _STOPS_AT_LEVEL[2])
+    g = _spike_at_level(4, bad, _STOPS_AT_LEVEL[2])
 
     def stacked(t):
         return np.stack([f(t), _ENTRIES["kink"](t)])
 
-    rules = (integrate_unit_interval, integrate_semiaxis)
+    def stacked_g(t):
+        return np.stack([g(t), _ENTRIES["kink"](t)])
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alone = [integrate(f, alpha, _TOL) for integrate in rules]
-        together = [integrate(stacked, alpha, _TOL) for integrate in rules]
-    for got, got_stacked, (_, want), (_, want_kink) in zip(
-            alone, together, _got_and_want(f, alpha), _got_and_want(_ENTRIES["kink"], alpha)):
+        alone = [integrate_unit_interval(f, alpha, _TOL), integrate_semiaxis(g, alpha, 1e-3)]
+        together = [integrate_unit_interval(stacked, alpha, _TOL), integrate_semiaxis(stacked_g, alpha, 1e-3)]
+    wants = [(_ref_unit(f, alpha, _TOL)[:2], _ref_unit(_ENTRIES["kink"], alpha, _TOL)[:2]),
+             (_ref_semiaxis(alpha, g, 1e-3)[:2], _ref_semiaxis(alpha, _ENTRIES["kink"], 1e-3)[:2])]
+    for got, got_stacked, (want, want_kink) in zip(alone, together, wants):
         assert _same_bits(got, want)
         assert _same_bits(got_stacked, np.stack([want, want_kink], axis=-1))
 
@@ -481,28 +550,29 @@ def test_unit_block_past_a_stop_raises_no_warning(bad, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 2.5])
 def test_unit_non_finite_value_up_to_the_stop_raises(stop, level, bad, alpha):
     f = _spike_at_level(level, bad, _STOPS_AT_LEVEL[stop])
-    message = "^unit-interval rule hit a non-finite integrand value$"
-    for integrate in (lambda: _ref_unit(f, alpha, _TOL), lambda: integrate_unit_interval(f, alpha, _TOL),
-                      lambda: integrate_semiaxis(f, alpha, _TOL)):
-        with pytest.raises(QuadratureError, match=message), np.errstate(invalid="ignore"):
-            integrate()     # the reference's weights of 0 times inf warn
+    for integrate, message in ((lambda: _ref_unit(f, alpha, _TOL), "unit-interval"),
+                               (lambda: integrate_unit_interval(f, alpha, _TOL), "unit-interval"),
+                               (lambda: _ref_semiaxis(alpha, f, _TOL), "semiaxis"),
+                               (lambda: integrate_semiaxis(f, alpha, _TOL), "semiaxis")):
+        with pytest.raises(QuadratureError, match=f"^{message} rule hit a non-finite integrand value$"), \
+                np.errstate(invalid="ignore"):
+            integrate()     # the unit reference's weights of 0 times inf warn
 
 
-# -- panel sums ---------------------------------------------------------------
-
-def _dot_rows(w, vals):
-    rows = vals.reshape(-1, vals.shape[-1])
-    return np.array([np.dot(w, row) for row in rows]).reshape(vals.shape[:-1])
-
+# -- piece sums ---------------------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(1,), (3, 7), (2, 5, 6), (3, 4000)])
-def test_panel_sums_keep_the_bits_of_one_dot_per_row(shape):
-    # 12000 rows in the last case, as on a 4000-radius stress grid
+def test_piece_sums_keep_the_bits_of_one_sum_per_row(shape):
+    # 12000 rows in the last case, as on a 4000-radius stress grid: each row
+    # of a stacked call gets the sums of a call on that row alone
     rng = np.random.default_rng(19)
-    vals = rng.standard_normal(shape + (60,)) * np.exp(rng.uniform(-40.0, 40.0, shape + (60,)))
-    for w, part in ((_GL_HI[1], vals[..., :40]), (_GL_LO[1], vals[..., 40:]),
-                    (_GL_LO[1], vals[..., ::3])):   # the last is inner-strided
-        assert np.array_equal(_bits(_gl_sum(1.5, w, part)), _bits(1.5 * _dot_rows(w, part)))
+    scale = rng.standard_normal(shape) * np.exp(rng.uniform(-40.0, 40.0, shape))
+    rate = rng.uniform(0.1, 3.0, shape)
+    table = _es_table(tuple((level, k) for level in range(5) for k in range(2)))
+    sums = _sums(lambda t: scale[..., None] * np.exp(-rate[..., None] * t), 0.5, table)[0]
+    for row, index in enumerate(np.ndindex(*shape)):
+        want = _sums(lambda t: scale[index] * np.exp(-rate[index] * t), 0.5, table)[0]
+        assert np.array_equal(_bits(sums[row]), _bits(want[0]))
 
 
 def test_tol_whose_tail_threshold_underflows_is_rejected_before_any_call():

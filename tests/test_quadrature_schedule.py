@@ -1,23 +1,31 @@
-"""The quadrature step schedule against the one-panel-per-step rules.
+"""The quadrature call schedule against rules that call f step by step.
 
-The reference below is the stepped driver as it ran with a first step of
-tanh-sinh levels 0-2 and tail panel [1, 2], then one branch and one panel
-per step.  The rules ask for levels 0-3 and the panels up to tau = 64
-in their first step; values, errors and failures must stay those of the
-reference bit for bit, whatever the integrand, weight and tolerance.
+The tanh-sinh reference is the stepped rule as it ran with a first step
+of levels 0-2, then one branch per step; the rule asks for levels 0-3 in
+its first call and then for both branches of a level at once.  The
+exp-sinh reference (``quadrature_reference``) calls f once per piece of
+each level; the rule asks for levels 0-4 up to tau = 64 in its first call,
+then for one tail doubling or one level per call.  Values, errors and
+failures must stay those of the references bit for bit, whatever the
+integrand, weight and tolerance.
 """
 
 import numpy as np
 import pytest
+import quadrature_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_harmonic import energy
-from casimir_harmonic.quadrature import (_GL_HI, _GL_LO, QuadratureError, _gl_sum,
-                                         _ts_branches, integrate_semiaxis,
+from casimir_harmonic.quadrature import (QuadratureError, _ts_nodes, integrate_semiaxis,
                                          integrate_unit_interval)
 
-# -- the one-panel-per-step rules --------------------------------------------
+# -- the one-branch-per-step tanh-sinh rule ----------------------------------
+
+
+def _ts_branches(lam, h, odd_only):
+    ln_xp, ln_xn, ln_jac = _ts_nodes(h, odd_only)
+    return [(np.exp(ln_x), np.exp(lam * ln_x + ln_jac)) for ln_x in (ln_xp, ln_xn)]
 
 
 def _ref_unit_rule(lam, tol):
@@ -63,70 +71,24 @@ def _ref_unit_rule(lam, tol):
     return value[()], err[()]
 
 
-def _ref_tail_rule(alpha, tol):
-    tail_val, tail_err, prev_mag, active = 0.0, 0.0, np.inf, None
-    a = 1.0
-    while a < 16384.0 and (active is None or active.any()):
-        b = 2.0 * a
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x_hi, x_lo = mid + half * _GL_HI[0], mid + half * _GL_LO[0]
-        v_hi, v_lo = yield [x_hi, x_lo]
-        hi = _gl_sum(half, _GL_HI[1], x_hi ** alpha * v_hi)
-        lo = _gl_sum(half, _GL_LO[1], x_lo ** alpha * v_lo)
-        if active is None:
-            active = np.ones(np.shape(hi), dtype=bool)
-        if not np.isfinite(hi[active]).all():
-            raise QuadratureError(f"semiaxis panel [{a:g}, {b:g}] hit a non-finite integrand value")
-        mag = abs(hi)
-        done = active & (mag < 0.01 * tol) & (mag < prev_mag)
-        ratio = np.where(prev_mag < np.inf, mag / prev_mag, 0.5)
-        bound = np.where(done, mag * ratio / np.maximum(1.0 - ratio, 0.5), 0.0)
-        tail_val = np.where(active, tail_val + hi, tail_val)
-        tail_err = np.where(active, tail_err + abs(hi - lo) + bound, tail_err)
-        active &= ~done
-        prev_mag = np.where(mag > 0.0, mag, prev_mag)
-        a = b
-    if active.any():
-        raise QuadratureError("semiaxis tail did not decay below tolerance by tau = 16384")
-    return tail_val, tail_err
-
-
-def _ref_step_together(f, rules):
-    asks = {i: next(rule) for i, rule in enumerate(rules)}
-    results, failed = [None] * len(rules), {}
-    while asks:
-        x = np.concatenate([nodes for ask in asks.values() for nodes in ask])
+def _ref_unit_interval(f, lam, tol):
+    # one call of f per step the rule asks for
+    rule = _ref_unit_rule(lam, tol)
+    ask = next(rule)
+    while True:
+        x = np.concatenate(ask)
         vals = np.asarray(f(x), dtype=float)
         if vals.shape[-1:] != x.shape:
             vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
-        start = 0
-        for i, ask in list(asks.items()):
-            parts = []
-            for nodes in ask:
-                parts.append(vals[..., start:start + nodes.size])
-                start += nodes.size
-            try:
-                asks[i] = rules[i].send(parts)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del asks[i]
-            except QuadratureError as exc:
-                failed[i] = exc
-                del asks[i]
-        if failed and min(failed) < min(asks, default=len(rules)):
-            raise failed[min(failed)]
-    return results
-
-
-def _ref_unit_interval(f, lam, tol):
-    (result,) = _ref_step_together(f, [_ref_unit_rule(lam, tol)])
-    return result
+        bounds = np.cumsum([0] + [nodes.size for nodes in ask])
+        try:
+            ask = rule.send([vals[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+        except StopIteration as stop:
+            return stop.value
 
 
 def _ref_semiaxis(f, alpha, tol):
-    (unit_val, unit_err), (tail_val, tail_err) = _ref_step_together(
-        f, [_ref_unit_rule(alpha, 0.5 * tol), _ref_tail_rule(alpha, tol)])
-    return (unit_val + tail_val)[()], (unit_err + tail_err)[()]
+    return ref.semiaxis(f, alpha, tol)[:2]
 
 
 # -- drawn integrands ---------------------------------------------------------
@@ -135,7 +97,7 @@ def _ref_semiaxis(f, alpha, tol):
 def _outcome(integrate, f, weight, tol):
     """('value', bits of value and error) or ('error', message) of one call."""
     try:
-        value, err = integrate(f, weight, tol)
+        value, err = integrate(f, weight, tol)[:2]
     except QuadratureError as exc:
         return "error", str(exc)
     return "value", [np.asarray(x, dtype=float).view(np.int64).tolist() for x in (value, err)]
@@ -146,7 +108,7 @@ _TERM = st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 4.0), st.floats(0.1, 8.0)
 _ENTRIES = st.lists(st.lists(_TERM, min_size=1, max_size=3), min_size=1, max_size=4)
 _ALPHA = st.floats(-1.0, 3.0, exclude_min=True)
 _TOL = st.floats(-12.0, -4.0).map(lambda e: 10.0 ** e)
-# inside the first step (tau <= 64), past it, or in the unit interval
+# below tau = 1, inside the first call (tau <= 64) or past it
 _NAN_TAU = st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 64.0), st.floats(64.0, 4096.0))
 
 
@@ -180,7 +142,7 @@ def test_schedule_keeps_every_bit(entries, alpha, tol):
 @_PROPERTY
 @given(entries=_ENTRIES, alpha=_ALPHA, tol=_TOL, tau=_NAN_TAU, data=st.data())
 def test_nan_past_a_node_fails_as_before(entries, alpha, tol, tau, data):
-    # values past the panel or level where every entry stops are never read
+    # values past the doubling or level where every entry stops are never read
     entry = data.draw(st.integers(0, len(entries) - 1))
     f = _nan_past(_sum_of_exponentials(entries), tau, entry)
     for integrate, reference in ((integrate_semiaxis, _ref_semiaxis),
@@ -188,31 +150,19 @@ def test_nan_past_a_node_fails_as_before(entries, alpha, tol, tau, data):
         assert _outcome(integrate, f, alpha, tol) == _outcome(reference, f, alpha, tol)
 
 
-@_PROPERTY
-@given(tau=st.floats(1.0, 16384.0), decays=st.booleans(), alpha=_ALPHA)
-def test_unit_failure_still_wins(tau, decays, alpha):
-    # the kink at 1/3 stalls the unit rule at tol 1e-14; past tau = 1 the
-    # tail hits a NaN or never decays
-    def f(t):
-        tail = np.where(t > tau, np.nan, np.exp(-t) if decays else 1.0)
-        return np.where(t < 1.0, np.abs(t - 1.0 / 3.0), tail)
-
-    got = _outcome(integrate_semiaxis, f, alpha, 1e-14)
-    assert got == _outcome(_ref_semiaxis, f, alpha, 1e-14)
-    assert got[0] == "error" and got[1].startswith("unit-interval rule")
-
-
 def test_values_past_where_every_entry_stops_are_never_read():
-    # a zero integrand stops at tanh-sinh level 2 and after panel [1, 2], so
-    # the first step's level-3 and later-panel values may be anything
+    # a zero integrand stops at level 2 and, its top doubling (32, 64] being
+    # 0, takes no tail doubling: the first call's level-3 nodes, and on the
+    # semiaxis its level-4 nodes up to tau = 32, may hold anything
     def nodes(level):
         return np.concatenate([x for x, _ in _ts_branches(0.0, 0.5 ** (level + 1), level > 0)])
 
     # near x = 1 the levels share nodes that round to 1.0
     level3 = np.setdiff1d(nodes(3), np.concatenate([nodes(level) for level in range(3)]))
+    x = np.exp(0.5 * np.pi * np.sinh(np.concatenate([ref.piece_t(level, 0) for level in (3, 4)])))
 
     def f(t):
-        return np.where(np.isin(t, level3) | (t > 2.0), np.nan, 0.0)
+        return np.where(np.isin(t, level3) | np.isin(t, x[x <= 32.0]), np.nan, 0.0)
 
     assert integrate_semiaxis(f, 0.5, 1e-10) == (0.0, 0.0)
     assert integrate_unit_interval(f, 0.5, 1e-10) == (0.0, 0.0)

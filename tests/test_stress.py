@@ -18,8 +18,7 @@ from casimir_harmonic.energy import bulk_energy_quadrature
 from casimir_harmonic.kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig,
                                       HyperbolicJets, xi_conformal)
 from casimir_harmonic.stress import (StressValue, conformal_split,
-                                     stress_component, stress_grid,
-                                     stress_profiles)
+                                     stress_component, stress_profiles)
 
 
 def test_d1_conformal_tt_origin():
@@ -115,7 +114,7 @@ def test_split_reconstructs_direct_value(xi):
     lambda: HarmonicConfig(d=1, kappa=1e308),
     # k^4 = 1e308 is finite, but its product with t0 at r = 5 is not
     lambda: stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", 5.0),
-    lambda: stress_grid(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", [0.0, 5.0]),
+    lambda: stress_component(HarmonicConfig(d=3, k=1e77, kappa=1e77), "tt", np.array([0.0, 5.0])),
 ], ids=["k_nan", "kappa_inf", "xi_inf", "xi_nan", "r_nan", "r_inf",
         "tol_nan", "tol_third_underflows", "component_r_inf", "energy_tol_nan", "k_scale_overflow",
         "k_scale_underflow_d1", "k_scale_underflow_d3", "kappa_over_k_overflow_d2",
@@ -201,17 +200,17 @@ def test_scale_enters_only_through_log(d):
 
 def test_even_d_log_profile_vanishes_on_grid():
     cfg = HarmonicConfig(d=2, xi=0.31)
-    for sv in stress_grid(cfg, "theta1theta1_reduced", [0.0, 0.7, 1.9, 4.2]):
-        assert sv.t1 == 0.0
+    sv = stress_component(cfg, "theta1theta1_reduced", np.array([0.0, 0.7, 1.9, 4.2]))
+    assert np.all(sv.t1 == 0.0)
 
 
 def test_grid_is_elementwise():
     cfg = HarmonicConfig(d=1, xi=0.1)
-    grid = stress_grid(cfg, "tt", [0.5, 1.0])
+    grid = stress_component(cfg, "tt", np.array([0.5, 1.0]))
     singles = [stress_component(cfg, "tt", 0.5),
                stress_component(cfg, "tt", 1.0)]
-    assert [g.vev for g in grid] == [s.vev for s in singles]
-    assert stress_grid(cfg, "tt", []) == []
+    assert list(grid.vev) == [s.vev for s in singles]
+    assert stress_component(cfg, "tt", np.array([])).vev.shape == (0,)
 
 
 def test_long_grid_completes_quickly():
@@ -220,9 +219,9 @@ def test_long_grid_completes_quickly():
     cfg = HarmonicConfig(d=3, xi=xi_conformal(3))
     rs = [i * 0.02 for i in range(200)]
     start = time.monotonic()
-    out = stress_grid(cfg, "tt", rs, tol=1e-7)
+    out = stress_component(cfg, "tt", np.array(rs), tol=1e-7)
     elapsed = time.monotonic() - start
-    assert len(out) == 200
+    assert out.vev.shape == (200,)
     assert elapsed < 30.0
 
 
@@ -256,7 +255,7 @@ def test_grid_evaluates_coefficients_once_per_node_set(monkeypatch):
         stress_profiles(cfg, "tt", float(r))
         single.append(len(calls))
     calls.clear()
-    stress_grid(cfg, "tt", radii)
+    stress_component(cfg, "tt", radii)
     assert len(calls) <= 2 * max(single)
 
 

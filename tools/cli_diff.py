@@ -3,14 +3,14 @@
     python3 tools/cli_diff.py OLD_TREE NEW_TREE
 
 Runs 30 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON quantizer;
-one on 4000 radii sums tens of thousands of tail-panel rows in one quadrature call), 21
+one on 4000 radii integrates 36 000 stacked entries in one quadrature call), 21
 ``asympt`` (three reach down to r = 1 or below, where the incomplete-gamma tail term of the
 large-r bound is largest; one of them is JSON), 3 ``energy`` requests, 3 ``selftest``
 requests (every criterion as CSV and as JSON, criteria 3 and 11) and 10 requests that
 fail (one quadrature failure, exit 3, and nine rejected inputs, exit 2: a non-finite
 radius, a zero radius for ``asympt``, a k whose k^(d+1) overflows, an ``--output`` that
 is a directory, 1e12 radii, a ``stress --tol`` whose third underflows to 0, an ``asympt
---tol`` whose hundredth, the quadrature's tail threshold, does, a criterion number that
+--tol`` whose tail threshold, a hundredth of it, does, a criterion number that
 does not exist and a criteria list that is not numbers)
 with each tree's ``src`` on PYTHONPATH, two requests at a time.  Of
 stderr only the final line counts, the JSON error record of a failed request; the warnings

@@ -3,8 +3,8 @@
     python3 tools/jet_bench.py OLD_TREE NEW_TREE
 
 Times ``sinhc_jet`` at scales 1 and 2 and ``Jet.__mul__`` at orders 2..8 on
-16 and on 1000 nodes spread over the unit interval, where the tanh-sinh rule
-puts the nodes of every tau-integral's unit piece: at scale 1 every node
+16 and on 1000 nodes spread over the unit interval, where the exp-sinh rule
+puts the t < 0 half of every tau-integral's nodes: at scale 1 every node
 takes the even-series branch of ``sinhc_jet``, at scale 2 about half do.
 Each tree runs in its own interpreter with its ``src`` on PYTHONPATH.  A
 round runs both trees back to back, ``ROUNDS`` rounds per node count, the
