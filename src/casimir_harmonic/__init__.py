@@ -17,8 +17,7 @@ from .energy import (EnergyResult, In_quadrature, In_zeta,
                      bulk_energy_zeta, spectral_trace_oracle)
 from .kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig, heat_trace,
                       mehler_kernel_1d, xi_conformal)
-from .quadrature import (QuadratureError, integrate_semiaxis,
-                         integrate_unit_interval)
+from .quadrature import QuadratureError, integrate_semiaxis
 from .specfun import (EULER_GAMMA, digamma, g_log_gamma, gamma, hurwitz_zeta,
                       lower_gamma, riemann_zeta, upper_gamma)
 from .stress import (StressValue, conformal_split, stress_component,

@@ -27,7 +27,7 @@ import numpy as np
 from .continuation import p_constants, p_from_ladder, u_affine_ladder, weight_exponent
 from .jets import Jet, jet_lift_and_compose as lift
 from .kernels import COMPONENTS, HyperbolicJets, part_coupling
-from .quadrature import integrate_semiaxis, integrate_unit_interval
+from .quadrature import integrate_semiaxis
 from .specfun import digamma, gamma, upper_gamma
 from .stress import stress_profiles
 
@@ -303,7 +303,7 @@ def _v_chart_samples(family, v0, order):
 
 
 # The |.| integrands of the envelopes kink where a coefficient changes sign,
-# so the double-exponential rules converge there only at deep levels.  Each
+# so the exp-sinh rule converges there only at deep levels.  Each
 # result enters a bound as value + error, an upper estimate at any
 # tolerance, so these integrals run only as accurately as a bound needs.
 _REMAINDER_TOL = 1e-6      # small-r remainder integrals of |m_i(tau)|
@@ -312,18 +312,23 @@ _TAIL_TOL = 1e-4           # large-r tail integrals of |q_i(v)| past v0
 
 @functools.lru_cache(maxsize=8)
 def _tail_integrals(family, v0):
-    """int_{v0}^{1} v^lam (|q0_i| + |ln v| |q1_i|) dv for every row i, upper estimates."""
+    """int_{v0}^{1} v^lam (|q0_i| + |ln v| |q1_i|) dv for every row i, upper estimates.
+
+    The semiaxis rule takes 1 - v = (1 - v0) e^-s, s in [0, inf), with the
+    Jacobian (1 - v0) e^-s in the integrand.  v is held at 1 - (1 - v0) 1e-12
+    at most, short of v = 1, where 1 - v^2 and the q's are singular; past
+    s = ln 1e12 the integrand decays as e^-s, so no node past s = 64 is needed."""
     lam = family.lam
 
-    def f(x):
-        x = np.maximum(np.asarray(x, dtype=float), 1e-12)
-        v = 1.0 - (1.0 - v0) * x
+    def f(s):
+        x = np.exp(-s)
+        v = 1.0 - (1.0 - v0) * np.maximum(x, 1e-12)
         q0, q1 = family.jets(Jet.variable(v, family.n + 1))
         a = np.abs([q.coeffs[0] for q in q0])
         b = np.abs([q.coeffs[0] for q in q1])
-        return v ** lam * (a - np.log(v) * b) * (1.0 - v0)
+        return v ** lam * (a - np.log(v) * b) * (1.0 - v0) * x
 
-    value, err = integrate_unit_interval(f, 0.0, _TAIL_TOL)
+    value, err = integrate_semiaxis(f, 0.0, _TAIL_TOL)
     return tuple((value + err) * 1.001)
 
 

@@ -290,7 +290,7 @@ def sinhc_jet(t, order, scale=1.0):
 
     Dividing a sinh jet by the variable goes through intermediate
     coefficients of size ~ 1/t^m, which overflow at the double-
-    exponentially small nodes the unit-interval quadrature produces.
+    exponentially small nodes the exp-sinh quadrature produces.
     Wherever |s*t| < 1 the (entire) even Taylor series of the function
     itself is used instead.  Each branch runs only on the nodes that take
     it, and the two are scattered back into place.

@@ -5,7 +5,9 @@ with t in one piece, where piece 0 reaches from tau = e^-634 up to tau = 64
 and piece k >= 1 is the doubling (64 * 2^(k-1), 64 * 2^k].  The rule in the
 package makes one wide first call and one call per further level or tail
 doubling; as f is elementwise, it must return these values and errors bit
-for bit, and raise the same errors.
+for bit, and raise the same errors.  Each error includes the mass below the
+lowest node, |f| at level 0's lowest node times tau^(alpha+1)/(alpha+1) at
+tau = e^-634.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ MAX_LEVEL = 11
 FIRST_LEVEL = 4     # the package's first call holds levels 0-4
 TOPS = np.arcsinh(np.log(64.0 * 2.0 ** np.arange(9)) / (0.5 * np.pi))     # t at tau = 64 ... 16384
 LOW = -np.arcsinh(2.0 * np.sinh(6.0))     # t at tau = e^-634
+LN_LOW = 0.5 * np.pi * np.sinh(LOW)
 
 
 def piece_t(level, k):
@@ -26,15 +29,16 @@ def piece_t(level, k):
 
 
 def piece_terms(f, alpha, level, k):
-    """(tau, weighted values of f, a row per entry) on one piece of a level."""
+    """(tau, weighted values of f, values of f; a row per entry) on one piece of a level."""
     t = piece_t(level, k)
     ln_x = 0.5 * np.pi * np.sinh(t)
     x = np.exp(ln_x)
     vals = np.asarray(f(x), dtype=float)
     if vals.shape[-1:] != x.shape:
         vals = np.broadcast_to(vals, vals.shape[:-1] + x.shape)
+    vals = vals.reshape(int(np.prod(vals.shape[:-1])), x.size)
     with np.errstate(all="ignore"):
-        return x, np.exp(alpha * ln_x + (np.log(0.5 * np.pi * np.cosh(t)) + ln_x)) * vals.reshape(int(np.prod(vals.shape[:-1])), x.size)
+        return x, np.exp(alpha * ln_x + (np.log(0.5 * np.pi * np.cosh(t)) + ln_x)) * vals, vals
 
 
 def semiaxis(f, alpha, tol):
@@ -43,8 +47,11 @@ def semiaxis(f, alpha, tol):
     h = 0.5 ** (FIRST_LEVEL + 1)
     terms = {}
     for level in range(FIRST_LEVEL + 1):
-        x, terms[level, 0] = piece_terms(f, alpha, level, 0)
+        x, terms[level, 0], vals = piece_terms(f, alpha, level, 0)
         terms["top", level] = terms[level, 0][:, x > 32.0]
+        if level == 0:
+            with np.errstate(all="ignore"):
+                low = abs(vals[:, 0]) * (np.exp((alpha + 1.0) * LN_LOW) / (alpha + 1.0))
     with np.errstate(all="ignore"):
         mag = h * np.add.reduce(abs(np.concatenate([terms["top", level] for level in range(FIRST_LEVEL + 1)],
                                                    axis=1)), axis=-1)
@@ -103,4 +110,4 @@ def semiaxis(f, alpha, tol):
         active &= ~done
     if np.any(active & (err > np.maximum(tol * 100.0, 1e-13 * abs(value)))):
         raise QuadratureError(f"semiaxis rule stalled at error ~{np.max(err[active]):.2e}")
-    return tuple(a.reshape(lead)[()] for a in (value, err + mag)) + (level, top.reshape(lead)[()])
+    return tuple(a.reshape(lead)[()] for a in (value, err + mag + low)) + (level, top.reshape(lead)[()])

@@ -25,7 +25,7 @@ EXPORTS = (
     "XI_SLOPE", "asymptotic_match_report", "boundary_energy_scan", "build_P_polynomials",
     "bulk_energy_quadrature", "bulk_energy_zeta", "conformal_split", "digamma",
     "g_log_gamma", "gamma", "heat_trace", "hurwitz_zeta", "integrate_semiaxis",
-    "integrate_unit_interval", "large_r_expansion", "lower_gamma", "mehler_kernel_1d",
+    "large_r_expansion", "lower_gamma", "mehler_kernel_1d",
     "minimal_derivative_count", "renorm_scale_constant", "riemann_zeta",
     "small_r_expansion", "spectral_trace_oracle", "stress_component",
     "stress_profiles", "upper_gamma", "weight_exponent", "xi_conformal", "__version__",
