@@ -6,8 +6,8 @@ single weighted half-line integral of the n-th derivative of
 arithmetic, the integral from the weighted half-line rule.  Route two is
 arithmetic: the hyperbolic moments I_n(s) = int tau^(s-1) sinh^-n(tau) dtau
 reduce to Riemann zeta values for n in {1, 2} and climb to any n by a
-two-step recursion that stays valid off the convergent region, so the
-energy becomes a short closed form in zeta at negative half-integers.
+two-step recursion that stays valid off the convergent region, and the
+energy is the one continued moment -I_d(-1/2) / (2^(d+2) sqrt pi).
 The two routes agreeing to ten digits is the library's main self-check.
 
 Two supporting diagnostics live here as well: a degeneracy-weighted sum
@@ -131,17 +131,15 @@ def In_zeta(n, s):
 
 
 def bulk_energy_zeta(d):
-    """Closed-form E/k in Riemann zeta values, d in {1, 2, 3}."""
-    rt2 = math.sqrt(2.0)
-    if d == 1:
-        val = -0.5 * (rt2 - 1.0) * riemann_zeta(-0.5)
-    elif d == 2:
-        val = riemann_zeta(-1.5) / rt2
-    elif d == 3:
-        val = ((rt2 - 1.0) / 16.0 * riemann_zeta(-0.5)
-               - (4.0 * rt2 - 1.0) / 16.0 * riemann_zeta(-2.5))
-    else:
+    """E/k = -I_d(-1/2) / (2^(d+2) sqrt(pi)), d in {1, 2, 3}.
+
+    Route one, pref * int tau^(n-d-3/2) f^(n) dtau with f = (tau/sinh tau)^d,
+    integrated back by parts n times, is pref (-1)^n prod_{i<n} (n-d-3/2-i)
+    int tau^(-d-3/2) f dtau = -I_d(-1/2) / (2^(d+2) sqrt(pi)), for every n.
+    """
+    if d not in (1, 2, 3):
         raise ValueError("closed zeta forms cover d in {1, 2, 3}")
+    val = -In_zeta(d, -0.5) / (2.0 ** (d + 2) * math.sqrt(math.pi))
     return EnergyResult(val, "zeta", 1e-12)
 
 

@@ -171,6 +171,25 @@ def test_zeta_energy_closed_forms():
         assert res.value_per_k == pytest.approx(float(expect[d]), rel=1e-12)
 
 
+def test_zeta_energy_meets_the_closed_forms_to_double_precision():
+    r2 = mpmath.sqrt(2)
+    z = mpmath.zeta
+    closed = {
+        1: -(r2 - 1) / 2 * z(-0.5),
+        2: z(-1.5) / r2,
+        3: (r2 - 1) / 16 * z(-0.5) - (4 * r2 - 1) / 16 * z(-2.5),
+    }
+    for d, want in closed.items():
+        assert abs(bulk_energy_zeta(d).value_per_k - float(want)) <= 1e-16, d
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_energy_is_the_continued_moment_at_minus_half(d):
+    """E/k = -I_d(-1/2) / (2^(d+2) sqrt(pi)) holds past the closed forms."""
+    moment = -In_zeta(d, -0.5) / (2.0 ** (d + 2) * math.sqrt(math.pi))
+    assert abs(moment - bulk_energy_quadrature(d).value_per_k) <= 1e-10
+
+
 def test_zeta_energy_pinned_digits():
     assert bulk_energy_zeta(1).value_per_k == pytest.approx(ENERGY_D1, abs=1e-12)
     assert bulk_energy_zeta(2).value_per_k == pytest.approx(ENERGY_D2, abs=1e-12)

@@ -4,9 +4,10 @@ a fresh interpreter.
 Every layer module is imported eagerly (a tracer that wraps the layers sees
 only modules already in ``sys.modules``), while the self-test suite and
 ``numpy.polynomial`` stay out of the request path of ``stress``, ``asympt``
-and ``energy``.
+and ``energy``.  Each layer imports only layers below it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PKG = os.path.join(SRC, "casimir_harmonic")
 
 LAYERS = ("specfun", "jets", "quadrature", "kernels", "continuation",
           "stress", "asymptotics", "energy", "cli")
@@ -58,3 +60,31 @@ def test_cli_import_loads_every_layer_and_no_selftest(fresh_import):
 
 def test_package_exports_are_unchanged(fresh_import):
     assert set(EXPORTS) <= set(fresh_import["exports"])
+
+
+# the version string from the package itself, and the self-test suite, which
+# a selftest request imports on demand
+LAYER_EXCEPTIONS = {("cli", "casimir_harmonic"), ("cli", "selftest")}
+
+
+def _package_imports(layer):
+    """Package modules a layer imports, anywhere in its source."""
+    with open(os.path.join(PKG, layer + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield node.module or "casimir_harmonic"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("casimir_harmonic"):
+            yield node.module.rpartition(".")[2]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("casimir_harmonic"):
+                    yield alias.name.rpartition(".")[2]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layers_import_only_layers_below(layer):
+    below = LAYERS[:LAYERS.index(layer)]
+    upward = [name for name in _package_imports(layer)
+              if name not in below and (layer, name) not in LAYER_EXCEPTIONS]
+    assert not upward

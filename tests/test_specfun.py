@@ -1,6 +1,7 @@
 """Special-function layer against mpmath and frozen multiprecision pins."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -33,6 +34,24 @@ def test_euler_gamma_constant():
                                -0.4, -1.7, -3.2])
 def test_gamma_vs_mpmath(s):
     assert gamma(s) == pytest.approx(float(mpmath.gamma(s)), rel=1e-13)
+
+
+def test_gamma_is_double_precision_off_the_poles():
+    rng = random.Random(24)
+    worst = 0.0
+    for _ in range(400):
+        s = rng.uniform(-4.0, 60.0)
+        if s < 0.5 and abs(s - round(s)) < 1e-3:
+            continue
+        want = mpmath.gamma(s)
+        worst = max(worst, float(abs((gamma(s) - want) / want)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("s", [0.0, -0.0, -1.0, -3.0, -17.0])
+def test_gamma_pole_message(s):
+    with pytest.raises(ValueError, match=f"^gamma pole at s={s}$"):
+        gamma(s)
 
 
 @pytest.mark.parametrize("s", [0.37, 1.2, 3.8, 7.5, -0.6, -1.4])
@@ -82,6 +101,15 @@ def test_log_weighted_gamma_vs_mpmath(s, z):
     want = mpmath.quad(lambda t: t ** (s - 1) * mpmath.log(t)
                        * mpmath.exp(-t), [0, z])
     assert g_log_gamma(s, z) == pytest.approx(float(want), rel=1e-11)
+
+
+@pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 1.0, 2.7, 9.3, 19.7, 30.0])
+def test_log_weighted_gamma_vs_derivative_of_mpmath_gammainc(s):
+    """The series up to z = 700 and Gamma(s) psi(s) past it, on both sides; at
+    s = 1e-5 the series sums without the prefactor z^s e^-z would overflow."""
+    for z in (0.01, 0.3, 1.0, 4.0, 25.0, 90.0, 400.0, 699.0, 700.0, 701.0, 950.0, 2000.0):
+        want = mpmath.diff(lambda q: mpmath.gammainc(q, 0, z), s)
+        assert abs(g_log_gamma(s, z) - float(want)) <= 1e-13 * max(1.0, abs(float(want))), z
 
 
 @pytest.mark.parametrize("s", [0.9, 2.3])
