@@ -2,18 +2,18 @@
 
 Route one stays numerical: after n integrations by parts the energy is a
 single weighted half-line integral of the n-th derivative of
-(tau/sinh tau)^d, convergent once n >= d+1; the derivative comes from jet
-arithmetic, the integral from the weighted half-line rule.  Route two is
+(tau/sinh tau)^d, convergent once n >= d+1; the derivative comes from a
+Taylor table below tau = 1 and jets of an e^-tau form above, the integral
+from the weighted half-line rule.  Route two is
 arithmetic: the hyperbolic moments I_n(s) = int tau^(s-1) sinh^-n(tau) dtau
 reduce to Riemann zeta values for n in {1, 2} and climb to any n by a
 two-step recursion that stays valid off the convergent region, and the
 energy is the one continued moment -I_d(-1/2) / (2^(d+2) sqrt pi).
 The two routes agreeing to ten digits is the library's main self-check.
 
-Two supporting diagnostics live here as well: a degeneracy-weighted sum
-straight over the oscillator spectrum (an oracle that bypasses every
-integral in the package), and the scan of would-be surface terms over
-growing enclosing balls.
+Two supporting diagnostics live here as well: a degeneracy-weighted sum over
+the oscillator spectrum (an oracle that bypasses every integral in the
+package), and the scan of would-be surface terms over growing enclosing balls.
 """
 
 import functools
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import derivative, jet_lift_and_compose, sinhc_jet
+from .jets import Jet, derivative
 from .quadrature import integrate_semiaxis
 from .specfun import gamma, riemann_zeta
 
@@ -39,12 +39,35 @@ class EnergyResult:
 # -- route one: integration-by-parts quadrature ------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _ratio_taylor_table(d, n):
+    """Read-only P, highest power first, with (d/dtau)^n (tau/sinh tau)^d = tau^(n % 2) P(tau^2)."""
+    k = 2.0 * np.arange(1, 2 * n + 40)    # jet arithmetic on 2n + 40 terms of sinh(tau)/tau in tau^2
+    series = ((1.0 / Jet(np.cumprod(np.r_[1.0, 1.0 / (k * (k + 1.0))]))) ** d).coeffs
+    c = np.array([series[i] * math.perm(2 * i, n) for i in range((n + 1) // 2, len(series))])
+    c = c[np.flatnonzero(abs(c) >= 1e-18 * abs(c).max())[-1]::-1].copy()    # to the last term >= 1e-18 at tau = 1
+    c.flags.writeable = False
+    return c
+
+
 def _sinh_ratio_deriv(d, n):
-    """Vectorized n-th tau-derivative of (tau/sinh tau)^d."""
+    """Vectorized n-th derivative of (tau/sinh tau)^d on nodes tau >= 0: Horner's rule on
+    `_ratio_taylor_table` below tau = 1, each term (tau/pi)^2 of the last, and from 1 on the
+    jet of (2 tau e^-tau / (1 - e^-2 tau))^d, which never overflows.  Its two factors vanish
+    at tau = 0, so its rounding grows like a pole there, by about (pi/tau)^n: the switch
+    sits at 1, where that costs little for n <= d + 5 and the table is shortest."""
+    table, m = _ratio_taylor_table(d, n), np.arange(n + 1.0)[:, None]
+    e1 = np.array([(-1.0) ** i / math.factorial(i) for i in range(n + 1)])[:, None]   # e^-tau's jet / e^-tau
+
     def smooth(tau):
         tau = np.asarray(tau, dtype=float)
-        core = jet_lift_and_compose("reciprocal", sinhc_jet(tau, n)) ** d
-        return derivative(core, n)
+        out, small, t = np.empty_like(tau), tau < 1.0, tau[tau >= 1.0]
+        with np.errstate(under="ignore"):     # far out, the jet underflows to 0
+            out[small] = np.polyval(table, tau[small] ** 2) * tau[small] ** (n % 2)
+            w = np.exp(-t)
+            g = Jet(2.0 * w * (t - m) * e1) / Jet((m == 0) - w * w * e1 * 2.0 ** m)
+            out[~small] = derivative(functools.reduce(Jet.__mul__, [g] * d), n)
+        return out
     return smooth
 
 
@@ -146,23 +169,16 @@ def bulk_energy_zeta(d):
 # -- diagnostics: spectral sum and boundary scan -----------------------
 
 
-def _degeneracy_power_coeffs(d):
-    # binom(m+d-1, d-1) rewritten as a polynomial in x = 2m+d:
-    # prod_{j=1}^{d-1} (x + 2j - d) / (2^{d-1} (d-1)!), coefficients
-    # highest power first.
-    roots = [float(d - 2 * j) for j in range(1, d)]
-    c = np.poly(roots) if roots else np.array([1.0])
-    return c / (2.0 ** (d - 1) * math.factorial(d - 1))
-
-
 @functools.lru_cache(maxsize=8)
 def _spectral_levels(d, terms):
-    """Read-only levels x = 2m + d and their degeneracies, m < terms; they
-    depend on (d, terms) alone, so each table is built once."""
+    """Read-only levels x = 2m + d (m < terms), their degeneracies, and binom(m+d-1, d-1) as a
+    polynomial in x, prod_{j<d} (x + 2j - d) / (2^(d-1) (d-1)!), highest power first; built once."""
+    roots = [float(d - 2 * j) for j in range(1, d)]
+    c = (np.poly(roots) if roots else np.array([1.0])) / (2.0 ** (d - 1) * math.factorial(d - 1))
     x = 2.0 * np.arange(terms, dtype=float) + d
-    degeneracy = np.polyval(_degeneracy_power_coeffs(d), x)
-    x.flags.writeable = degeneracy.flags.writeable = False
-    return x, degeneracy
+    degeneracy = np.polyval(c, x)
+    x.flags.writeable = degeneracy.flags.writeable = c.flags.writeable = False
+    return x, degeneracy, c
 
 
 def spectral_trace_oracle(d, s, terms=20000, tol=1e-12):
@@ -179,9 +195,8 @@ def spectral_trace_oracle(d, s, terms=20000, tol=1e-12):
     d, terms = int(d), int(terms)
     if not d < s < math.inf:
         raise ValueError("spectral sum converges only for finite s > d")
-    c = _degeneracy_power_coeffs(d)
+    x, degeneracy, c = _spectral_levels(d, terms)
     powers = np.arange(len(c) - 1, -1, -1, dtype=float)
-    x, degeneracy = _spectral_levels(d, terms)
     head = float(np.sum(degeneracy * x ** (-s)))
     xM = 2.0 * terms + d
     integral = float(np.sum(c * xM ** (powers - s + 1.0) / (2.0 * (s - powers - 1.0))))

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from casimir_harmonic import energy
+from casimir_harmonic import energy, quadrature
 from casimir_harmonic.energy import (
     EnergyResult,
     In_quadrature,
@@ -23,6 +23,7 @@ from casimir_harmonic.energy import (
     bulk_energy_zeta,
     spectral_trace_oracle,
 )
+from casimir_harmonic.jets import derivative, jet_lift_and_compose, sinhc_jet
 from casimir_harmonic.specfun import hurwitz_zeta
 
 
@@ -88,6 +89,95 @@ def test_quadrature_err_estimate_is_honest():
         res = bulk_energy_quadrature(d)
         exact = {1: ENERGY_D1, 2: ENERGY_D2, 3: ENERGY_D3}[d]
         assert abs(res.value_per_k - exact) <= max(res.err_estimate, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Route one's integrand: the n-th derivative of (tau/sinh tau)^d.
+
+# both sides of the switch at tau = 1, next to it, and out to where the
+# integrand is far below double precision
+NODES = np.array([1e-300, 1e-6, 0.05, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
+                  1.01, 1.05, 1.1, 1.25, 1.5, 2.5, 5.0, 12.0, 40.0])
+DN = [(d, n) for d in range(1, 5) for n in range(d + 1, d + 10)]
+
+
+def _jets_route(d, n):
+    """The integrand as it was composed from jets: 1/sinhc(tau) to the d, n-th
+    coefficient; sinhc_jet forms sinh(tau) * (1/tau) from tau = 1 on."""
+    def smooth(tau):
+        core = jet_lift_and_compose("reciprocal", sinhc_jet(np.asarray(tau, dtype=float), n)) ** d
+        return derivative(core, n)
+    return smooth
+
+
+def _bound(n):
+    # next to tau = 1 the e^-tau form, like the jets route before it, splits
+    # tau/sinh tau into factors that vanish or blow up at tau = 0, so its
+    # rounding grows by about |1 + i pi|^n = 3.3^n; 1e-12 holds up to n = 6
+    return max(1e-12, 1e-15 * 3.3 ** n)
+
+
+@pytest.fixture(scope="module")
+def mp_derivatives():
+    """(d, n) -> the n-th derivative at NODES, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return {(d, n): np.array([float(mpmath.diff(lambda t: (t / mpmath.sinh(t)) ** d, mpmath.mpf(x), n))
+                                  for x in NODES]) for d, n in DN}
+
+
+def test_sinh_ratio_deriv_matches_mpmath(mp_derivatives):
+    for d, n in DN:
+        want = mp_derivatives[d, n]
+        err = abs(energy._sinh_ratio_deriv(d, n)(NODES) - want) / np.maximum(1.0, abs(want))
+        assert err.max() <= _bound(n), (d, n, NODES[err.argmax()], err.max())
+        if n <= d + 5:
+            assert err.max() <= 1e-12, (d, n, NODES[err.argmax()], err.max())
+
+
+def test_sinh_ratio_deriv_matches_the_jets_route():
+    # on NODES node by node; on the 269 nodes of a first quadrature call (levels
+    # 0-4 up to tau = 64), one of which falls next to a zero of the (4, 10)
+    # derivative at tau = 1.0503, against the largest |value| on them
+    first_call = np.exp(0.5 * np.pi * np.sinh(np.arange(-214, 55) / 32.0))
+    for d, n in DN:
+        old = _jets_route(d, n)(NODES)
+        err = abs(energy._sinh_ratio_deriv(d, n)(NODES) - old) / np.maximum(1.0, abs(old))
+        assert err.max() <= 2.0 * _bound(n), (d, n, NODES[err.argmax()], err.max())
+        old = _jets_route(d, n)(first_call)
+        err = abs(energy._sinh_ratio_deriv(d, n)(first_call) - old) / max(1.0, abs(old).max())
+        assert err.max() <= 2.0 * _bound(n), (d, n, first_call[err.argmax()], err.max())
+
+
+def test_sinh_ratio_taylor_table_is_built_once_and_read_only():
+    energy._ratio_taylor_table.cache_clear()
+    for _ in range(2):
+        for d in (1, 2, 3):
+            bulk_energy_quadrature(d, n=d + 2)
+    info = energy._ratio_taylor_table.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    for d in (1, 2, 3):
+        table = energy._ratio_taylor_table(d, d + 2)
+        assert not table.flags.writeable and table.nbytes < 1024
+    # more derivatives need more terms for the same accuracy at tau = 1
+    lengths = [len(energy._ratio_taylor_table(2, n)) for n in (3, 7, 11)]
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
+
+
+def test_sinh_ratio_deriv_is_finite_out_to_the_last_doubling():
+    tops = np.exp(0.5 * np.pi * np.sinh(quadrature._ES_TOPS))      # tau = 64, 128, ..., 16384
+    tau = np.concatenate([np.geomspace(1.0, 16384.0, 97), tops])
+    with np.errstate(all="raise"):
+        for d in range(1, 5):
+            for n in range(d + 1, d + 6):
+                assert np.isfinite(energy._sinh_ratio_deriv(d, n)(tau)).all(), (d, n)
+
+
+def test_quadrature_energy_at_an_unreachable_tol_is_finite():
+    # the integrand is finite past tau = 710, where sinh overflows, so the
+    # rule takes every doubling and returns its own error
+    res = bulk_energy_quadrature(2, tol=1e-300)
+    assert abs(res.value_per_k - ENERGY_D2) <= 1e-15
+    assert 0.0 < res.err_estimate <= 1e-15 * abs(res.value_per_k)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +461,10 @@ def test_boundary_energy_scan_rejects_non_finite_input(integrand_calls, u, ells,
 
 
 def _parent_oracle(d, s, terms=20000):
-    # the mode sum as it was before its table: levels and degeneracies
-    # rebuilt on every call
-    c = energy._degeneracy_power_coeffs(d)
+    # the mode sum as it was before its table: levels, degeneracies and
+    # their polynomial coefficients rebuilt on every call
+    roots = [float(d - 2 * j) for j in range(1, d)]
+    c = (np.poly(roots) if roots else np.array([1.0])) / (2.0 ** (d - 1) * math.factorial(d - 1))
     powers = np.arange(len(c) - 1, -1, -1, dtype=float)
     m = np.arange(terms, dtype=float)
     x = 2.0 * m + d
@@ -393,7 +484,9 @@ def test_spectral_level_table_is_built_once_and_read_only():
     info = energy._spectral_levels.cache_info()
     assert (info.misses, info.hits) == (3, 3)
     for d in (1, 2, 3):
-        for table in energy._spectral_levels(d, 20000):
+        x, degeneracy, coeffs = energy._spectral_levels(d, 20000)
+        assert len(x) == len(degeneracy) == 20000 and len(coeffs) == d
+        for table in (x, degeneracy, coeffs):
             assert not table.flags.writeable
 
 

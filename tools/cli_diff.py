@@ -5,7 +5,9 @@
 Runs 30 ``stress`` (two at xi 0.3 cover the x column of ``--k`` and the JSON quantizer;
 one on 4000 radii integrates 36 000 stacked entries in one quadrature call), 21
 ``asympt`` (three reach down to r = 1 or below, where the incomplete-gamma tail term of the
-large-r bound is largest; one of them is JSON), 3 ``energy`` requests, 3 ``selftest``
+large-r bound is largest; one of them is JSON), 6 ``energy`` requests (d = 1, 2, 3; d = 4,
+which has no zeta column; d = 3 at n = 8; d = 2 at a tol of 1e-300, whose tail doublings reach
+past tau = 710, where sinh overflows), 3 ``selftest``
 requests (every criterion as CSV and as JSON, criteria 3 and 11) and 10 requests that
 fail (one quadrature failure, exit 3, and nine rejected inputs, exit 2: a non-finite
 radius, a zero radius for ``asympt``, a k whose k^(d+1) overflows, an ``--output`` that
@@ -50,6 +52,8 @@ def requests():
                ["asympt", "--d", "3", "--part", "raw", "--component", "theta1theta1_reduced",
                 "--xi", "0.2", "--r", "1", "6", "3"]]
             + [["energy", "--d", d] for d in "123"]
+            + [["energy", "--d", "2", "--tol", "1e-300"], ["energy", "--d", "4"],
+               ["energy", "--d", "3", "--n", "8"]]
             + [["selftest"], ["selftest", "--format", "json"], ["selftest", "--criteria", "3,11"]]
             + [["stress", "--d", "3", "--component", "tt", "--tol", "1e-300", "--r", "0", "5", "2"],
                ["stress", "--d", "1", "--r", "0", "nan", "11"],

@@ -8,14 +8,18 @@ by both routes with the mode-sum oracle, and a boundary scan) in one child
 process per tree, with that tree's ``src`` on PYTHONPATH.  Every value a step
 returns is written as ``float.hex``, in the step's key order.  For each tree
 it prints the SHA-256 of the newline-joined values of all steps, then either
-"identical" or the first step whose values differ, with both value lists.
-Exits 1 when the trees differ.  Stdlib only; the children import numpy and
-the package.
+"identical" or the first step whose values differ, with both value lists,
+and then one line per returned key (quad, zeta, iq, iz, oracle, scan): how
+many steps differ in its bits and the largest relative difference
+|new - old| / |old| of its values (inf where a 0 became nonzero), so a change
+that moves one field shows that the others kept every bit.  Exits 1 when the
+trees differ.  Stdlib only; the children import numpy and the package.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,13 +33,13 @@ import casimir_harmonic as pkg
 import workloads
 for op in workloads.first_ops("energy_calls", 1, int(sys.argv[2])):
     out = workloads.run_energy_op(pkg, op)
-    values = [v for key in out for v in (out[key] if isinstance(out[key], list) else [out[key]])]
-    print(json.dumps([float(v).hex() for v in values]))
+    print(json.dumps({key: [float(v).hex() for v in (val if isinstance(val, list) else [val])]
+                      for key, val in out.items()}))
 """
 
 
 def step_values(tree, steps):
-    """The float.hex values of each step, one list per step, from one child."""
+    """Each step's {key: float.hex values}, in the step's key order, from one child."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-c", CHILD, os.path.join(ROOT, "perfbench"),
                            str(steps)], env=env, capture_output=True, text=True)
@@ -44,8 +48,30 @@ def step_values(tree, steps):
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def flat(step):
+    return [v for values in step.values() for v in values]
+
+
 def digest(steps):
-    return hashlib.sha256("\n".join(v for step in steps for v in step).encode()).hexdigest()
+    return hashlib.sha256("\n".join(v for step in steps for v in flat(step)).encode()).hexdigest()
+
+
+def relative_difference(x, y):
+    """|y - x| / |x| of two float.hex values; inf where a 0 became nonzero."""
+    a, b = float.fromhex(x), float.fromhex(y)
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def field_summary(old, new):
+    """(key, steps whose key differs in bits, largest relative difference) per key."""
+    rows = []
+    for key in old[0] if old else []:
+        pairs = [(a[key], b.get(key, [])) for a, b in zip(old, new)]
+        rel = [relative_difference(x, y) for a, b in pairs for x, y in zip(a, b)]
+        rows.append((key, sum(a != b for a, b in pairs), max(rel, default=0.0)))
+    return rows
 
 
 def main():
@@ -63,9 +89,12 @@ def main():
         return 0
     if differ:
         i = differ[0]
-        print(f"first differing step: {i} ({len(differ)} steps differ)\n  old {old[i]}\n  new {new[i]}")
+        print(f"first differing step: {i} ({len(differ)} steps differ)\n"
+              f"  old {flat(old[i])}\n  new {flat(new[i])}")
     else:
         print(f"step counts differ: {len(old)} vs {len(new)}")
+    for key, steps, rel in field_summary(old, new):
+        print(f"{key}: {steps} of {min(len(old), len(new))} steps differ, largest relative difference {rel:.3g}")
     return 1
 
 
