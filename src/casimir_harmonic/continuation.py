@@ -199,10 +199,11 @@ def build_P_polynomials(d, comp, xi, n=None, pipeline=None):
         xi = tuple(np.reshape(v, (-1, 1)) for v in xi)     # shape (C, 1), over the nodes
 
     def coeffs(tau_nodes):
-        basis = HyperbolicJets.from_tau(tau_nodes, n)
-        main, slope = u_affine_ladder(basis, d, comp, xi, n)
-        return np.array([np.stack([row.value() for row in rows], axis=-1 - np.ndim(tau_nodes))
-                         for rows in p_from_ladder(main, slope, a_main, a_slope, b_main)])
+        with np.errstate(under="ignore"):     # far out, the coefficients underflow to 0
+            basis = HyperbolicJets.from_tau(tau_nodes, n)
+            main, slope = u_affine_ladder(basis, d, comp, xi, n)
+            return np.array([np.stack([row.value() for row in rows], axis=-1 - np.ndim(tau_nodes))
+                             for rows in p_from_ladder(main, slope, a_main, a_slope, b_main)])
 
     return _PPair(n + 1, coeffs, weight_exponent(d, n))
 

@@ -2,9 +2,9 @@
 
 Route one stays numerical: after n integrations by parts the energy is a
 single weighted half-line integral of the n-th derivative of
-(tau/sinh tau)^d, convergent once n >= d+1; the derivative comes from a
-Taylor table below tau = 1 and jets of an e^-tau form above, the integral
-from the weighted half-line rule.  Route two is
+(tau/sinh tau)^d, convergent once n >= d+1; the derivative is the top
+coefficient of ``jets.sinh_ratio_jet``, the integral from the weighted
+half-line rule.  Route two is
 arithmetic: the hyperbolic moments I_n(s) = int tau^(s-1) sinh^-n(tau) dtau
 reduce to Riemann zeta values for n in {1, 2} and climb to any n by a
 two-step recursion that stays valid off the convergent region, and the
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, derivative
+from .jets import sinh_ratio_jet
 from .quadrature import integrate_semiaxis
 from .specfun import gamma, riemann_zeta
 
@@ -37,38 +37,6 @@ class EnergyResult:
 
 
 # -- route one: integration-by-parts quadrature ------------------------
-
-
-@functools.lru_cache(maxsize=64)
-def _ratio_taylor_table(d, n):
-    """Read-only P, highest power first, with (d/dtau)^n (tau/sinh tau)^d = tau^(n % 2) P(tau^2)."""
-    k = 2.0 * np.arange(1, 2 * n + 40)    # jet arithmetic on 2n + 40 terms of sinh(tau)/tau in tau^2
-    series = ((1.0 / Jet(np.cumprod(np.r_[1.0, 1.0 / (k * (k + 1.0))]))) ** d).coeffs
-    c = np.array([series[i] * math.perm(2 * i, n) for i in range((n + 1) // 2, len(series))])
-    c = c[np.flatnonzero(abs(c) >= 1e-18 * abs(c).max())[-1]::-1].copy()    # to the last term >= 1e-18 at tau = 1
-    c.flags.writeable = False
-    return c
-
-
-def _sinh_ratio_deriv(d, n):
-    """Vectorized n-th derivative of (tau/sinh tau)^d on nodes tau >= 0: Horner's rule on
-    `_ratio_taylor_table` below tau = 1, each term (tau/pi)^2 of the last, and from 1 on the
-    jet of (2 tau e^-tau / (1 - e^-2 tau))^d, which never overflows.  Its two factors vanish
-    at tau = 0, so its rounding grows like a pole there, by about (pi/tau)^n: the switch
-    sits at 1, where that costs little for n <= d + 5 and the table is shortest."""
-    table, m = _ratio_taylor_table(d, n), np.arange(n + 1.0)[:, None]
-    e1 = np.array([(-1.0) ** i / math.factorial(i) for i in range(n + 1)])[:, None]   # e^-tau's jet / e^-tau
-
-    def smooth(tau):
-        tau = np.asarray(tau, dtype=float)
-        out, small, t = np.empty_like(tau), tau < 1.0, tau[tau >= 1.0]
-        with np.errstate(under="ignore"):     # far out, the jet underflows to 0
-            out[small] = np.polyval(table, tau[small] ** 2) * tau[small] ** (n % 2)
-            w = np.exp(-t)
-            g = Jet(2.0 * w * (t - m) * e1) / Jet((m == 0) - w * w * e1 * 2.0 ** m)
-            out[~small] = derivative(functools.reduce(Jet.__mul__, [g] * d), n)
-        return out
-    return smooth
 
 
 def bulk_energy_quadrature(d, n=None, tol=1e-10):
@@ -90,22 +58,13 @@ def bulk_energy_quadrature(d, n=None, tol=1e-10):
     pref = -1.0 / (2.0 ** (d + 2 - n) * math.sqrt(math.pi))
     for i in range(n):
         pref /= 2.0 * (d - i) + 1.0
-    value, err = integrate_semiaxis(_sinh_ratio_deriv(d, n), n - d - 1.5, tol)
+    # the n-th derivative of (tau/sinh tau)^d is n! times the top coefficient of its jet
+    top = sinh_ratio_jet(n, d, top_only=True)
+    value, err = integrate_semiaxis(lambda tau: math.factorial(n) * top(tau), n - d - 1.5, tol)
     return EnergyResult(pref * value, "quadrature", abs(pref) * err)
 
 
 # -- route two: hyperbolic moments and zeta values ---------------------
-
-
-def _x_over_sinh(x):
-    """x / sinh x, elementwise, safe from 0 through overflow range."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    mid = (x != 0.0) & (x <= 350.0)
-    out[mid] = x[mid] / np.sinh(x[mid])
-    big = x > 350.0
-    out[big] = 2.0 * x[big] * np.exp(-x[big])
-    return out
 
 
 def In_quadrature(n, s, tol=1e-11):
@@ -118,10 +77,7 @@ def In_quadrature(n, s, tol=1e-11):
         raise ValueError("integral diverges at tau = 0 for s <= n; use In_zeta")
     n = int(n)
 
-    def smooth(tau):
-        return _x_over_sinh(np.asarray(tau, dtype=float)) ** n
-
-    value, _ = integrate_semiaxis(smooth, s - 1.0 - n, tol)
+    value, _ = integrate_semiaxis(sinh_ratio_jet(0, n, top_only=True), s - 1.0 - n, tol)
     return value
 
 
@@ -241,10 +197,11 @@ def boundary_energy_scan(d, u, ell_values, tol=1e-10):
     if not np.all((ell >= 0.0) & (ell < np.inf)):
         raise ValueError("ball radius must be finite and nonnegative")
 
+    weight = sinh_ratio_jet(0, 0.5 * d, top_only=True)
+
     def smooth(tau):
         tau = np.asarray(tau, dtype=float)
-        return (ell ** d * 2.0 ** (-0.5 * d) * _tanh_over_tau(tau)
-                * _x_over_sinh(2.0 * tau) ** (0.5 * d)
+        return (ell ** d * 2.0 ** (-0.5 * d) * _tanh_over_tau(tau) * weight(2.0 * tau)
                 * np.exp(-ell * ell * np.tanh(tau)))
 
     values, _ = integrate_semiaxis(smooth, lam, tol)

@@ -8,8 +8,11 @@ base points at once; all operations broadcast over that trailing shape,
 as does an ndarray operand: (C, 1) times a jet on N nodes stacks C jets.
 
 Elementary functions are applied through ``jet_lift_and_compose`` using
-the standard power-series recurrences; ``tanh`` and ``arcth`` are built
-from the exp/log lifts rather than bespoke recurrences.
+the standard power-series recurrences; ``arcth`` is built from the log
+lift rather than a bespoke recurrence.
+
+``sinh_ratio_jet`` is the package's one (x/sinh x)^p, the Mehler weight
+behind the stress kernels and the bulk energy alike.
 
 The kernels work on whole Taylor orders at once, yet return bit for bit
 what the textbook double loops return: every coefficient is the same
@@ -19,7 +22,7 @@ lone -0.0 into +0.0 as the loop does.  No numpy reduction is used, since
 ``np.sum`` may add pairwise.  Where a sum runs from the oldest coefficient
 (the product, reciprocal, log and pow) each coefficient is added to the
 sums of all later orders in one operation as soon as it is known; where it
-runs from the newest (exp, sinh/cosh) each order forms all its products in
+runs from the newest (exp) each order forms all its products in
 one operation and adds them one by one.  Only a NaN may differ, in its
 sign bit.
 """
@@ -54,13 +57,6 @@ class Jet:
         coeffs[0] = base
         if order >= 1:
             coeffs[1] = 1.0
-        return Jet(coeffs)
-
-    @staticmethod
-    def const(value, order):
-        value = np.asarray(value, dtype=float)
-        coeffs = np.zeros((order + 1,) + value.shape)
-        coeffs[0] = value
         return Jet(coeffs)
 
     # -- ring operations ----------------------------------------------
@@ -119,14 +115,6 @@ class Jet:
     def __rtruediv__(self, other):
         return jet_lift_and_compose("reciprocal", self) * other
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("integer powers only; use the pow lift otherwise")
-        out = Jet.const(np.ones(np.shape(self.coeffs[0])), self.order)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- calculus ------------------------------------------------------
 
     def derivative_jet(self):
@@ -145,13 +133,6 @@ class Jet:
 
     def value(self):
         return self.coeffs[0]
-
-
-def derivative(jet, m):
-    """m-th derivative of the underlying function at the base point."""
-    if m > jet.order:
-        raise ValueError(f"jet of order {jet.order} cannot give derivative {m}")
-    return math.factorial(m) * jet.coeffs[m]
 
 
 def _weighted(a):
@@ -190,8 +171,8 @@ def _lift_log(a):
 def _lift_pow(a, alpha):
     # c[m] = (sum_{j=0..m-1} (alpha (m-j) - j) a[m-j] c[j]) / (m a[0])
     k = a.shape[0] - 1
-    w = np.array([[alpha * (m - j) - j for j in range(k + 1)] for m in range(k + 1)],
-                 dtype=float).reshape((k + 1, k + 1) + (1,) * (a.ndim - 1))
+    m = np.arange(k + 1.0)
+    w = (alpha * (m[:, None] - m) - m).reshape((k + 1, k + 1) + (1,) * (a.ndim - 1))
     c = np.empty_like(a)
     c[0] = a[0] ** alpha
     acc = np.zeros_like(a)
@@ -216,108 +197,113 @@ def _lift_reciprocal(a):
     return c
 
 
-def _lift_sinh_cosh(a):
-    # s[m] = (sum_{j=1..m} j a[j] c[m-j]) / m, and c[m] likewise from s;
-    # sc[0] is s and sc[1] is c, so sc[::-1] pairs each with the other
-    k = a.shape[0] - 1
-    ja = _weighted(a)
-    sc = np.empty((2,) + a.shape)
-    sc[0, 0] = np.sinh(a[0])
-    sc[1, 0] = np.cosh(a[0])
-    for m in range(1, k + 1):
-        terms = ja[1: m + 1] * sc[::-1, m - 1::-1]
-        acc = terms[:, 0] + 0.0
-        for j in range(1, m):
-            acc += terms[:, j]
-        sc[:, m] = acc / m
-    return sc[0], sc[1]
-
-
-_SINHC_TERMS = 35
-
-
-@functools.lru_cache(maxsize=64)
-def _sinhc_table(order, scale, scale_type):
-    """Read-only table[j, m] = scale^(2j) C(2j, m) / (2j+1)!, the factor of
-    t^(2j-m) in the m-th Taylor coefficient of sinh(s t)/(s t); zero where
-    2j < m.  scale_type keeps 2 and 2.0, which hash alike, apart."""
-    table = np.zeros((_SINHC_TERMS, order + 1))
-    for m in range(order + 1):
-        for j in range((m + 1) // 2, _SINHC_TERMS):
-            table[j, m] = scale ** (2 * j) * math.comb(2 * j, m) / math.factorial(2 * j + 1)
+@functools.lru_cache(maxsize=256)
+def _sinh_ratio_table(p, rows):
+    """Read-only T, highest power first and zero-padded in front, with
+    x^(m % 2) T[i](x^2) the Taylor coefficient m = rows[i] of (x/sinh x)^p:
+    jet arithmetic on 2m + 40 terms of sinh(x)/x in x^2, each row cut after
+    its last term >= 1e-18 of its largest at x = 1."""
+    k = 2.0 * np.arange(1, 2 * max(rows) + 40)
+    series = _lift_pow(np.cumprod(np.r_[1.0, 1.0 / (k * (k + 1.0))]), -p)
+    polys = []
+    for m in rows:
+        c = np.array([series[i] * math.comb(2 * i, m) for i in range((m + 1) // 2, len(series))])
+        polys.append(c[np.flatnonzero(abs(c) >= 1e-18 * abs(c).max())[-1]::-1])
+    width = max(map(len, polys))
+    table = np.array([np.r_[np.zeros(width - len(c)), c] for c in polys])
     table.flags.writeable = False
     return table
 
 
-def _sinhc_series(t, order, scale):
-    """Taylor coefficients of sinh(s t)/(s t) at t from its even series.
+@functools.lru_cache(maxsize=16)
+def _log_sinh_ratio_table(order):
+    """Read-only (c, P) with c[m] x^-m + sum_k P[m, k] r^k, r = e^-2x / (1 -
+    e^-2x), the Taylor coefficient m >= 1 of log(x/sinh x) = log 2x - x -
+    log(1 - e^-2x); row 0 is zero.  log(1 + h/x) gives c[m] = (-1)^(m+1)/m,
+    -x gives -1 at m = 1, and -log(1 - e^(-2x-2h)) = sum_j e^(-2j(x+h))/j
+    gives (-2)^m/m! Li_(1-m)(e^-2x), a polynomial in r with nonnegative
+    coefficients: Li_0 = r and Li_(-n-1) = r (1 + r) d/dr Li_(-n)."""
+    m = np.arange(order + 1)
+    c = np.r_[0.0, (-1.0) ** (m[1:] + 1) / m[1:]]
+    P, li = np.zeros((order + 1, order + 1)), np.eye(order + 1, k=1)[0]
+    for k in m[1:]:
+        P[k] = (-2.0) ** k / math.factorial(k) * li
+        slope = np.r_[li[1:] * m[1:], 0.0]
+        li = np.r_[0.0, slope[:-1]] + np.r_[0.0, 0.0, slope[:-2]]
+    P[m == 1, 0] = -1.0
+    c.flags.writeable = P.flags.writeable = False
+    return c, P
 
-    Coefficient m sums table[j, m] * t^(2j - m) over ascending j.  Each
-    power is computed once, and at most order + 1 of them are alive at a
-    time.
 
-    The sum stops at the first j with 2j >= order whose terms leave every
-    partial sum unchanged, so the result is that of all _SINHC_TERMS terms
-    bit for bit: for |s t| < 1 and 2j >= m, term j+1 of coefficient m is
-    term j times (st)^2 (2j+1) / ((2j+2-m)(2j+1-m)(2j+3)) < 1/2, of the
-    same sign, and rounding is monotone.  A partial sum is never -0.0
-    (it starts at +0.0), so adding a zero term leaves its bits alone.
+def _sinh_ratio_large(x, p, c, P):
+    """The jet at the nodes x > 0, from ``_log_sinh_ratio_table``'s (c, P):
+    its value (2x / (1 - e^-2x))^p e^(-px) times the exp lift of p times
+    the jet of log(x/sinh x) less its value.  Nothing is divided by a jet's
+    value, so a factor that underflows to 0 is harmless.  The log jet's
+    terms ~ x^-m cancel to ~ pi^-m, so its rounding grows like (pi/x)^m
+    toward 0: it serves from x = 1, the value alone at any x."""
+    gap = -np.expm1(-2.0 * x)
+    value = (2.0 * x / gap) ** p * np.exp(-p * x)
+    if len(c) == 1:
+        return value[None]
+    r = np.exp(-2.0 * x) / gap
+    log_jet = np.zeros((len(c), len(x)))
+    for column in P.T[::-1, :, None]:
+        log_jet *= r
+        log_jet += column
+    log_jet += c[:, None] * (1.0 / x) ** np.arange(len(c) + 0.0)[:, None]
+    return (jet_lift_and_compose("exp", Jet(log_jet) * p) * value).coeffs
+
+
+def sinh_ratio_jet(order, p, top_only=False):
+    """The function x -> jet of (x/sinh x)^p at the nodes x, to the given
+    order; with top_only, x -> the ndarray of coefficient ``order`` alone.
+    Its tables are looked up here, once for all its calls.
+
+    Below |x| = 1 the coefficients are Horner's rule in x^2 on a Taylor
+    table, one sum per row; from 1 on, and for the value alone at every
+    x > 0, they come from ``_sinh_ratio_large``, finite at any x.  A
+    negative node takes the jet at |x| with its odd coefficients negated.
     """
-    table = _sinhc_table(order, scale, type(scale))
-    table = table.reshape(table.shape + (1,) * t.ndim)
-    fc = np.zeros((order + 1,) + t.shape)
-    powers = []                      # powers[m] = t^(2j - m)
-    for j in range(_SINHC_TERMS):
-        top = min(order, 2 * j)
-        fresh = min(top, 1) + 1      # t^(2j), and t^(2j-1) once order >= 1
-        del powers[top + 1 - fresh:]
-        powers[:0] = [t ** (2 * j - m) for m in range(fresh)]
-        terms = np.array(powers)
-        terms *= table[j, : top + 1]
-        if 2 * j < order:
-            fc[: top + 1] += terms
-            continue
-        terms += fc
-        if (terms == fc).all():
-            break
-        fc = terms
-    return fc
+    rows = (order,) if top_only else tuple(range(order + 1))
+    polys = [row[np.flatnonzero(row)[0]:].tolist() for row in _sinh_ratio_table(p, rows)]
+    log_table = _log_sinh_ratio_table(order)
+    odd = slice(1 - rows[0] % 2, None, 2)        # the rows of odd m
 
+    def series(t):
+        out, t2 = np.zeros((len(rows), len(t))), t * t
+        for acc, poly in zip(out, polys):
+            for c in poly:
+                acc *= t2
+                acc += c
+        out[odd] *= t
+        return out
 
-def sinhc_jet(t, order, scale=1.0):
-    """Jet of sinh(s*t)/(s*t) in the variable t at the nodes t, elementwise
-    stable.
+    def jet(x):
+        x = np.asarray(x, dtype=float)
+        t = np.abs(x).ravel()
+        small = t < 1.0 if order else t == 0.0
+        with np.errstate(under="ignore"):     # near 0 and far out, terms underflow to 0
+            if small.all():
+                out = series(t)
+            elif not small.any():
+                out = _sinh_ratio_large(t, p, *log_table)[-len(rows):]
+            else:
+                out = np.empty((len(rows), len(t)))
+                out[:, small] = series(t[small])
+                out[:, ~small] = _sinh_ratio_large(t[~small], p, *log_table)[-len(rows):]
+        out = out.reshape((len(rows),) + x.shape)
+        out[odd] *= np.sign(x)
+        return out[0] if top_only else Jet(out)
 
-    Dividing a sinh jet by the variable goes through intermediate
-    coefficients of size ~ 1/t^m, which overflow at the double-
-    exponentially small nodes the exp-sinh quadrature produces.
-    Wherever |s*t| < 1 the (entire) even Taylor series of the function
-    itself is used instead.  Each branch runs only on the nodes that take
-    it, and the two are scattered back into place.
-    """
-    t = np.asarray(t, dtype=float)
-    small = np.abs(scale * t) < 1.0
-    if small.all():
-        return Jet(_sinhc_series(t, order, scale))
-    if not small.any():
-        return Jet(_sinhc_large(t, order, scale))
-    out = np.empty((order + 1,) + t.shape)
-    out[:, small] = _sinhc_series(t[small], order, scale)
-    out[:, ~small] = _sinhc_large(t[~small], order, scale)
-    return Jet(out)
-
-
-def _sinhc_large(t, order, scale):
-    """Coefficients of sinhc_jet as sinh(u) * (1/u), u = s*t, for |s*t| >= 1."""
-    u = Jet.variable(t, order) * scale
-    return (jet_lift_and_compose("sinh", u) * jet_lift_and_compose("reciprocal", u)).coeffs
+    return jet
 
 
 def jet_lift_and_compose(tag, inner, exponent=None):
     """Apply an elementary function to a jet.
 
-    tag is one of ``exp``, ``log``, ``sinh``, ``cosh``, ``tanh``,
-    ``arcth``, ``sqrt``, ``reciprocal``, or ``pow`` (with ``exponent``).
+    tag is one of ``exp``, ``log``, ``arcth``, ``reciprocal``, or ``pow``
+    (with ``exponent``).
     """
     a = inner.coeffs
     if tag == "exp":
@@ -328,22 +314,8 @@ def jet_lift_and_compose(tag, inner, exponent=None):
         if exponent is None:
             raise ValueError("pow lift needs an exponent")
         return Jet(_lift_pow(a, exponent))
-    if tag == "sqrt":
-        return Jet(_lift_pow(a, 0.5))
     if tag == "reciprocal":
         return Jet(_lift_reciprocal(a))
-    if tag == "sinh":
-        return Jet(_lift_sinh_cosh(a)[0])
-    if tag == "cosh":
-        return Jet(_lift_sinh_cosh(a)[1])
-    if tag == "tanh":
-        # tanh(x) = sgn * (1 - E)/(1 + E), E = exp(-2 sgn x): the argument of
-        # exp is kept non-positive so huge base points underflow gracefully.
-        sgn = np.where(np.asarray(a[0]) >= 0.0, 1.0, -1.0)
-        b = inner * sgn
-        e = jet_lift_and_compose("exp", b * (-2.0))
-        t = (1.0 - e) / (1.0 + e)
-        return t * sgn
     if tag == "arcth":
         half = jet_lift_and_compose("log", 1.0 + inner) - jet_lift_and_compose("log", 1.0 - inner)
         return half * 0.5

@@ -2,7 +2,9 @@
 
 The oscillator heat kernel factorizes into 1d Mehler kernels; everything
 downstream only needs a small set of hyperbolic functions of the
-diagonal-time variable tau, assembled here as Taylor jets.
+diagonal-time variable tau, assembled here as Taylor jets.  In the tau
+chart the powers of 2 tau / sinh 2 tau are ``jets.sinh_ratio_jet``, so
+they, and every integrand built from them, stay finite at any tau.
 
 ``bracket_factors`` gives the integrand coefficient of one stress-tensor
 component: a shared prefactor (1/8)(4 pi)^(-d/2) (2 tau / sinh 2 tau)^(d/2)
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_lift_and_compose as lift, sinhc_jet
+from .jets import Jet, jet_lift_and_compose as lift, sinh_ratio_jet
 
 # In d = 1, "theta1theta1_reduced" is the formal contraction with a unit
 # vector orthogonal to x; it is not a component of the d = 1 tensor.
@@ -98,30 +100,38 @@ class HyperbolicJets:
     (1 - v^2) d/dv. The same bracket-assembly code runs in both charts.
     """
 
-    def __init__(self, tau, th, ratio, cosh2, inv_cosh2, deriv):
+    def __init__(self, tau, th, ratio, ratio_pow, inv_cosh2, deriv):
         self.tau = tau                # tau itself
         self.th = th                  # tanh(tau)
         self.ratio = ratio            # 2 tau / sinh(2 tau)
-        self.cosh2 = cosh2            # cosh(2 tau)
+        self._ratio_pow = ratio_pow   # p -> ratio^p
         self.inv_cosh2 = inv_cosh2    # 1 / cosh(tau)^2
         self.deriv = deriv            # jet -> jet, one order lower
+
+    def ratio_power(self, p):
+        """ratio^p as a jet in the chart; p = 1 is the ratio itself."""
+        return self.ratio if p == 1 else self._ratio_pow(p)
 
     @staticmethod
     def from_tau(tau, order):
         """The tau chart at the nodes tau, to the given order."""
+        tau = np.asarray(tau, dtype=float)
         tau_jet = Jet.variable(tau, order)
-        ratio = lift("reciprocal", sinhc_jet(tau, order, 2.0))
-        cosh2 = lift("cosh", tau_jet * 2.0)
+        # coefficient m in tau is 2^m times coefficient m in x = 2 tau
+        scale = 2.0 ** np.arange(order + 1).reshape((-1,) + (1,) * tau.ndim)
+
+        def ratio_pow(p):
+            return Jet(sinh_ratio_jet(order, p)(2.0 * tau).coeffs * scale)
+
         # tanh and sech^2 from one E = exp(-2 sgn tau) and R = 1/(1 + E):
-        # tanh = sgn (1 - E) R as the tanh lift forms it, and sech^2 = 4 E R^2
-        # in exponential form, since 1 - tanh^2 cancels to exactly zero past
-        # tau ~ 19 yet is multiplied by cosh(2 tau) in the brackets.
-        sgn = np.where(np.asarray(tau) >= 0.0, 1.0, -1.0)
+        # tanh = sgn (1 - E) R, and sech^2 = 4 E R^2 in exponential form,
+        # since 1 - tanh^2 cancels to exactly zero past tau ~ 19.
+        sgn = np.where(tau >= 0.0, 1.0, -1.0)
         e = lift("exp", tau_jet * (-2.0 * sgn))
         rec = lift("reciprocal", 1.0 + e)
         th = (1.0 - e) * rec * sgn
         inv_cosh2 = 4.0 * e * rec * rec
-        return HyperbolicJets(tau_jet, th, ratio, cosh2, inv_cosh2,
+        return HyperbolicJets(tau_jet, th, ratio_pow(1), ratio_pow, inv_cosh2,
                               lambda j: j.derivative_jet())
 
     @staticmethod
@@ -134,12 +144,12 @@ class HyperbolicJets:
         else:
             tau_over_v = tau / v_jet
         ratio = tau_over_v * one_minus
-        cosh2 = (1.0 + vsq) / one_minus
         def deriv(j):
             dj = j.derivative_jet()
             scale = Jet(v_jet.coeffs[: dj.order + 1].copy())
             return dj * (1.0 - scale * scale)
-        return HyperbolicJets(tau, v_jet, ratio, cosh2, one_minus, deriv)
+        return HyperbolicJets(tau, v_jet, ratio, lambda p: lift("pow", ratio, p),
+                              one_minus, deriv)
 
 
 def bracket_factors(d, comp, basis, xi):
@@ -157,28 +167,20 @@ def bracket_factors(d, comp, basis, xi):
         raise ValueError(f"unknown component {comp!r}")
     one, xi = xi if isinstance(xi, tuple) else (1.0, xi)
     ratio = basis.ratio
-    if d == 2:
-        root = ratio
-    elif d == 1:
-        root = lift("sqrt", ratio)
-    else:
-        root = ratio * lift("sqrt", ratio)
-    w = root * (0.125 * (4.0 * np.pi) ** (-0.5 * d))
+    w = basis.ratio_power(0.5 * d) * (0.125 * (4.0 * np.pi) ** (-0.5 * d))
 
+    # cosh(2 tau) enters only as cosh(2 tau) sech^2(tau) = 2 - sech^2(tau) and as
+    # ratio cosh(2 tau) = 2 tau coth(2 tau) = ratio + 2 tau tanh(tau); the latter
+    # makes the rr and theta-theta b0 one expression
     if comp == "tt":
         b0 = (one - 4.0 * xi) * float(d) * ratio - (one + 4.0 * xi)
         # ratio * sinh(4 tau)/(2 cosh(tau)^2) collapses to 2 tau cosh(2 tau)/cosh(tau)^2
-        b1 = basis.tau * basis.cosh2 * basis.inv_cosh2 * (2.0 * (one - 4.0 * xi))
+        b1 = basis.tau * (2.0 - basis.inv_cosh2) * (2.0 * (one - 4.0 * xi))
         c = one + 4.0 * xi
-    elif comp == "rr":
-        b0 = ratio * ((2.0 - d) * one + 4.0 * (d - 1.0) * xi + 4.0 * xi * basis.cosh2) \
-            - (one - 4.0 * xi)
-        b1 = basis.tau * basis.inv_cosh2 * (-2.0 * (one - 4.0 * xi))
-        c = one - 4.0 * xi
     else:
-        b0 = (ratio * 0.5) * (2.0 * (2.0 - d) * one + 8.0 * d * xi) \
-            + (basis.tau * basis.th) * (8.0 * xi) - (one - 4.0 * xi)
-        b1 = basis.tau * basis.cosh2 * basis.inv_cosh2 * (-2.0 * (one - 4.0 * xi))
+        b0 = ratio * ((2.0 - d) * one + 4.0 * d * xi) + (basis.tau * basis.th) * (8.0 * xi) \
+            - (one - 4.0 * xi)
+        b1 = basis.tau * (basis.inv_cosh2 if comp == "rr" else 2.0 - basis.inv_cosh2) \
+            * (-2.0 * (one - 4.0 * xi))
         c = one - 4.0 * xi
     return w, b0, b1, c
-

@@ -17,11 +17,12 @@ from casimir_harmonic.asymptotics import (Row, SeriesExpansion, VChartFamily,
                                           large_r_expansion,
                                           small_r_expansion)
 from casimir_harmonic.continuation import RSquarePoly, build_P_polynomials
-from casimir_harmonic.jets import Jet, derivative, jet_lift_and_compose
+from casimir_harmonic.jets import Jet, jet_lift_and_compose
 from casimir_harmonic.kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig,
                                       part_coupling, xi_conformal)
 from casimir_harmonic.specfun import EULER_GAMMA, g_log_gamma, lower_gamma
 from casimir_harmonic.stress import stress_profiles
+from jet_reference import derivative
 
 
 @pytest.fixture(autouse=True, scope="module")

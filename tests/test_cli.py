@@ -214,15 +214,30 @@ def test_tol_whose_tail_threshold_underflows_is_a_validation_error(capsys):
 
 
 def test_quadrature_failure_writes_only_its_error_record(capsys):
-    # the non-finite values that make the quadrature fail would warn first
+    # at r = 2000 the value is rounding noise that no level settles, so the
+    # rule stalls; any warning on the way would be an error here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "stress", "--d", "3", "--component", "tt",
-                             "--tol", "1e-300", "--r", "0", "5", "2")
+                             "--r", "2000", "2000", "1")
     assert code == 3
     assert out == ""
-    assert err == json.dumps({"error": "semiaxis panel [256, 512] hit a non-finite "
-                                       "integrand value", "exit_code": 3}) + "\n"
+    assert err == json.dumps({"error": "semiaxis rule stalled at error ~1.53e-05",
+                              "exit_code": 3}) + "\n"
+
+
+@pytest.mark.parametrize("argv,stall", [
+    (("--d", "3", "--tol", "1e-300"), "8.33e-17"),
+    (("--d", "1", "--tol", "8e-322", "--r", "0", "5", "2"), "7.26e-18"),
+])
+def test_unreachable_stress_tol_stalls_on_finite_values(capsys, argv, stall):
+    # the integrand is finite out to tau = 16384, so a tol no level reaches
+    # ends in the rule's own stall, not in a non-finite value
+    code, out, err = run(capsys, "stress", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == json.dumps({"error": "semiaxis rule stalled at error ~" + stall,
+                              "exit_code": 3}) + "\n"
 
 
 def test_d1_angular_component_carries_a_note(capsys):

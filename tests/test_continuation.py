@@ -10,11 +10,11 @@ from casimir_harmonic.continuation import (build_P_polynomials,
                                            p_constants, renorm_scale_constant,
                                            weight_exponent)
 from casimir_harmonic.energy import In_quadrature, In_zeta
-from casimir_harmonic.jets import (Jet, derivative, jet_lift_and_compose,
-                                   sinhc_jet)
+from casimir_harmonic.jets import Jet, jet_lift_and_compose, sinh_ratio_jet
 from casimir_harmonic.kernels import COMPONENTS, HyperbolicJets
 from casimir_harmonic.quadrature import integrate_semiaxis
 from casimir_harmonic.specfun import EULER_GAMMA, gamma
+from jet_reference import derivative
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -49,8 +49,7 @@ def _tau_over_sinh_pow(d):
     # (t / sinh t)^d / 2^d as a jet map: smooth at zero, decaying; j is the
     # variable jet that ibp_mellin passes
     def h(j):
-        sinhc = sinhc_jet(j.value(), j.order)
-        return jet_lift_and_compose("reciprocal", sinhc) ** d * 2.0 ** (-d)
+        return sinh_ratio_jet(j.order, d)(j.value()) * 2.0 ** (-d)
     return h
 
 
@@ -166,6 +165,21 @@ def test_P_polynomials_pipeline_equivalence(d):
         b0.coefficient_values(taus), rel=1e-13, abs=1e-16)
     assert a1.coefficient_values(taus) == pytest.approx(
         b1.coefficient_values(taus), rel=1e-13, abs=1e-16)
+
+
+def test_P_polynomial_coefficients_are_finite_out_to_tau_16384():
+    """Every coefficient set stays finite on the exp-sinh rule's range, from the
+    first node past tau = 1e-300 to its last doubling, with no floating-point
+    error raised: far out the coefficients underflow to 0 instead of turning
+    into inf/inf."""
+    tau = np.geomspace(1e-300, 16384.0, 400)
+    with np.errstate(all="raise"):
+        for d in (1, 2, 3):
+            n_min = minimal_derivative_count(d)
+            for comp in COMPONENTS:
+                for n in (n_min, n_min + 1):
+                    pair = build_P_polynomials(d, comp, 0.1, n=n)
+                    assert np.isfinite(pair.coefficient_values(tau)).all(), (d, comp, n)
 
 
 def test_conjugated_ladder_single_step():

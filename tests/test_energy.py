@@ -13,7 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from casimir_harmonic import energy, quadrature
+import jet_reference as ref
+from casimir_harmonic import energy, jets, quadrature
 from casimir_harmonic.energy import (
     EnergyResult,
     In_quadrature,
@@ -23,7 +24,6 @@ from casimir_harmonic.energy import (
     bulk_energy_zeta,
     spectral_trace_oracle,
 )
-from casimir_harmonic.jets import derivative, jet_lift_and_compose, sinhc_jet
 from casimir_harmonic.specfun import hurwitz_zeta
 
 
@@ -101,12 +101,26 @@ NODES = np.array([1e-300, 1e-6, 0.05, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.0 
 DN = [(d, n) for d in range(1, 5) for n in range(d + 1, d + 10)]
 
 
+def _integrand(d, n):
+    """Route one's integrand: the callable bulk_energy_quadrature(d, n) hands
+    to the quadrature rule."""
+    taken = []
+
+    def take(f, alpha, tol):
+        taken.append(f)
+        return 0.0, 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "integrate_semiaxis", take)
+        bulk_energy_quadrature(d, n)
+    return taken[0]
+
+
 def _jets_route(d, n):
     """The integrand as it was composed from jets: 1/sinhc(tau) to the d, n-th
-    coefficient; sinhc_jet forms sinh(tau) * (1/tau) from tau = 1 on."""
+    coefficient; sinhc forms sinh(tau) * (1/tau) from tau = 1 on."""
     def smooth(tau):
-        core = jet_lift_and_compose("reciprocal", sinhc_jet(np.asarray(tau, dtype=float), n)) ** d
-        return derivative(core, n)
+        return ref.derivative(math.prod([ref.ratio(tau, n)] * d), n)
     return smooth
 
 
@@ -128,7 +142,7 @@ def mp_derivatives():
 def test_sinh_ratio_deriv_matches_mpmath(mp_derivatives):
     for d, n in DN:
         want = mp_derivatives[d, n]
-        err = abs(energy._sinh_ratio_deriv(d, n)(NODES) - want) / np.maximum(1.0, abs(want))
+        err = abs(_integrand(d, n)(NODES) - want) / np.maximum(1.0, abs(want))
         assert err.max() <= _bound(n), (d, n, NODES[err.argmax()], err.max())
         if n <= d + 5:
             assert err.max() <= 1e-12, (d, n, NODES[err.argmax()], err.max())
@@ -141,25 +155,25 @@ def test_sinh_ratio_deriv_matches_the_jets_route():
     first_call = np.exp(0.5 * np.pi * np.sinh(np.arange(-214, 55) / 32.0))
     for d, n in DN:
         old = _jets_route(d, n)(NODES)
-        err = abs(energy._sinh_ratio_deriv(d, n)(NODES) - old) / np.maximum(1.0, abs(old))
+        err = abs(_integrand(d, n)(NODES) - old) / np.maximum(1.0, abs(old))
         assert err.max() <= 2.0 * _bound(n), (d, n, NODES[err.argmax()], err.max())
         old = _jets_route(d, n)(first_call)
-        err = abs(energy._sinh_ratio_deriv(d, n)(first_call) - old) / max(1.0, abs(old).max())
+        err = abs(_integrand(d, n)(first_call) - old) / max(1.0, abs(old).max())
         assert err.max() <= 2.0 * _bound(n), (d, n, first_call[err.argmax()], err.max())
 
 
 def test_sinh_ratio_taylor_table_is_built_once_and_read_only():
-    energy._ratio_taylor_table.cache_clear()
+    jets._sinh_ratio_table.cache_clear()
     for _ in range(2):
         for d in (1, 2, 3):
             bulk_energy_quadrature(d, n=d + 2)
-    info = energy._ratio_taylor_table.cache_info()
+    info = jets._sinh_ratio_table.cache_info()
     assert (info.misses, info.hits) == (3, 3)
     for d in (1, 2, 3):
-        table = energy._ratio_taylor_table(d, d + 2)
+        table = jets._sinh_ratio_table(d, (d + 2,))
         assert not table.flags.writeable and table.nbytes < 1024
     # more derivatives need more terms for the same accuracy at tau = 1
-    lengths = [len(energy._ratio_taylor_table(2, n)) for n in (3, 7, 11)]
+    lengths = [jets._sinh_ratio_table(2, (n,)).size for n in (3, 7, 11)]
     assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
 
 
@@ -169,7 +183,7 @@ def test_sinh_ratio_deriv_is_finite_out_to_the_last_doubling():
     with np.errstate(all="raise"):
         for d in range(1, 5):
             for n in range(d + 1, d + 6):
-                assert np.isfinite(energy._sinh_ratio_deriv(d, n)(tau)).all(), (d, n)
+                assert np.isfinite(_integrand(d, n)(tau)).all(), (d, n)
 
 
 def test_quadrature_energy_at_an_unreachable_tol_is_finite():

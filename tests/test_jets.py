@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_harmonic.jets import (Jet, derivative, jet_lift_and_compose,
-                                   sinhc_jet)
+import jet_reference as ref
+from casimir_harmonic.jets import (Jet, _sinh_ratio_table, jet_lift_and_compose,
+                                   sinh_ratio_jet)
+from jet_reference import derivative
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -44,6 +46,11 @@ def test_division_matches_series():
         assert derivative(q, m) == pytest.approx(want, rel=1e-12)
 
 
+# sinh and cosh have no lift of their own; the reference composes them from exp
+COMPOSED = {"exp": lambda x: jet_lift_and_compose("exp", x),
+            "sinh": lambda x: ref.sinh_cosh(x)[0], "cosh": lambda x: ref.sinh_cosh(x)[1]}
+
+
 @pytest.mark.parametrize("tag,f,fprime3", [
     ("exp", math.exp, math.exp),
     ("sinh", math.sinh, math.cosh),
@@ -51,7 +58,7 @@ def test_division_matches_series():
 ])
 def test_lift_third_derivatives(tag, f, fprime3):
     x = Jet.variable(0.8, 3)
-    lifted = jet_lift_and_compose(tag, x)
+    lifted = COMPOSED[tag](x)
     assert derivative(lifted, 0) == pytest.approx(f(0.8), rel=1e-14)
     assert derivative(lifted, 3) == pytest.approx(fprime3(0.8), rel=1e-13)
 
@@ -66,8 +73,10 @@ def test_log_and_pow_lifts():
 
 
 def test_tanh_lift_matches_mpmath_jet():
+    # tanh has no lift of its own; the reference's exponential form is the
+    # tau chart's th bit for bit
     x = Jet.variable(1.1, 5)
-    th = jet_lift_and_compose("tanh", x)
+    th = ref.tanh(x)
     for m in range(6):
         want = float(mpmath.diff(mpmath.tanh, 1.1, m))
         assert derivative(th, m) == pytest.approx(want, rel=1e-11, abs=1e-13)
@@ -97,33 +106,86 @@ def test_exp_log_roundtrip(a):
         assert derivative(back, m) == pytest.approx(want, abs=1e-9)
 
 
+# sinhc is sinh(x)/x; its reciprocal power (x/sinh x)^p is sinh_ratio_jet, which
+# these tests check, and the reciprocal of the reference's sinhc is the route
+# the package once took to x/sinh x.
+
 def test_sinhc_jet_small_and_large_nodes():
-    """sinh(t)/t jets stay finite and accurate from 1e-300 up to 300."""
-    for t in (1e-300, 1e-20, 1e-3, 0.5, 40.0, 300.0):
-        j = sinhc_jet(t, 2)
+    """x/sinh x jets stay finite and accurate from 1e-300 up to 1e4, far past
+    where sinh overflows."""
+    for t in (1e-300, 1e-20, 1e-3, 0.5, 40.0, 300.0, 1e4):
+        j = sinh_ratio_jet(2, 1)(t)
         got = derivative(j, 0)
-        want = float(mpmath.sinh(t) / t) if t > 1e-280 else 1.0
-        assert np.isfinite(got)
-        assert got == pytest.approx(want, rel=7e-14)
+        want = float(t / mpmath.sinh(t))
+        assert np.isfinite(j.coeffs).all()
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
         if t >= 1e-3:
-            want1 = float(mpmath.diff(lambda u: mpmath.sinh(u) / u, t, 1))
-            assert derivative(j, 1) == pytest.approx(want1, rel=7e-14)
+            want1 = float(mpmath.diff(lambda u: u / mpmath.sinh(u), t, 1))
+            assert derivative(j, 1) == pytest.approx(want1, rel=1e-14, abs=1e-300)
 
 
 def test_sinhc_jet_scaled():
-    # sinh(st)/(st) with the scale folded in
+    # (st/sinh st)^(3/2) in t: coefficient m in t is s^m times coefficient m in x = s t
     t, s = 0.7, 3.0
-    j = sinhc_jet(t, 3, scale=s)
-    want = float(mpmath.diff(lambda u: mpmath.sinh(s * u) / (s * u), t, 3))
-    assert derivative(j, 3) == pytest.approx(want, rel=1e-12)
+    j = sinh_ratio_jet(3, 1.5)(s * t)
+    want = float(mpmath.diff(lambda u: (s * u / mpmath.sinh(s * u)) ** 1.5, t, 3))
+    assert derivative(j, 3) * s ** 3 == pytest.approx(want, rel=1e-13)
 
 
 def test_reciprocal_composed_with_sinhc():
-    # t/sinh(t) via reciprocal(sinhc): third derivative against mpmath
-    t = 1.3
-    j = jet_lift_and_compose("reciprocal", sinhc_jet(t, 3))
-    want = float(mpmath.diff(lambda u: u / mpmath.sinh(u), t, 3))
-    assert derivative(j, 3) == pytest.approx(want, rel=1e-12)
+    # the reference route t/sinh(t) = 1/sinhc(t): third derivative against
+    # mpmath on both of its branches
+    for t in (0.4, 1.3):
+        j = ref.ratio(t, 3)
+        want = float(mpmath.diff(lambda u: u / mpmath.sinh(u), t, 3))
+        assert derivative(j, 3) == pytest.approx(want, rel=1e-12)
+
+
+# both sides of the switch at x = 1, next to it, far out, and the 269 nodes of a
+# first quadrature call (levels 0-4 up to 64)
+RATIO_NODES = np.concatenate([
+    [1e-300, 1e-6, 0.05, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-9, np.nextafter(1.0, 0.0), 1.0,
+     1.0 + 1e-9, 1.01, 1.05, 1.5, 2.5, 5.0, 12.0, 40.0, 300.0, 800.0],
+    np.exp(0.5 * np.pi * np.sinh(np.arange(-214, 55) / 32.0))])
+RATIO_POWERS = (0.5, 1, 1.5, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def mp_ratio_taylor():
+    """p -> Taylor coefficients 0..5 of (x/sinh x)^p at RATIO_NODES, rows by order,
+    by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return {p: np.array([[float(c) for c in mpmath.taylor(
+                    lambda x: (x / mpmath.sinh(x)) ** p, mpmath.mpf(x), 5)]
+                    for x in RATIO_NODES]).T for p in RATIO_POWERS}
+
+
+@pytest.mark.parametrize("p", RATIO_POWERS)
+def test_sinh_ratio_jet_matches_mpmath(p, mp_ratio_taylor):
+    want = mp_ratio_taylor[p]
+    for order in range(6):
+        got = sinh_ratio_jet(order, p)(RATIO_NODES).coeffs
+        err = abs(got - want[: order + 1]) / np.maximum(1.0, abs(want[: order + 1]))
+        assert err.max() <= 1e-15, (order, RATIO_NODES[err.max(axis=0).argmax()], err.max())
+        top = sinh_ratio_jet(order, p, top_only=True)(RATIO_NODES)
+        assert np.array_equal(top, got[order])
+
+
+def test_sinh_ratio_jet_is_even():
+    x = np.array([0.3, 0.999, 1.0, 2.5, 40.0])
+    for p in RATIO_POWERS:
+        pos, neg = sinh_ratio_jet(5, p)(x).coeffs, sinh_ratio_jet(5, p)(-x).coeffs
+        sign = (-1.0) ** np.arange(6)[:, None]
+        assert np.array_equal(neg, sign * pos), p
+
+
+def test_sinh_ratio_table_is_read_only_and_converged():
+    for p in RATIO_POWERS:
+        table = _sinh_ratio_table(p, tuple(range(9)))
+        assert not table.flags.writeable
+        for m, row in enumerate(table):
+            # the last term kept is below 1e-17 of the largest at the switch, x = 1
+            assert abs(row[np.flatnonzero(row)[0]]) <= 1e-17 * abs(row).max(), (p, m)
 
 
 # -- bit-exact references ------------------------------------------------
@@ -186,47 +248,6 @@ def _ref_reciprocal(a):
     return c
 
 
-def _ref_sinh_cosh(a):
-    s, c = np.zeros_like(a), np.zeros_like(a)
-    s[0], c[0] = np.sinh(a[0]), np.cosh(a[0])
-    for m in range(1, a.shape[0]):
-        for j in range(1, m + 1):
-            s[m] += j * a[j] * c[m - j]
-            c[m] += j * a[j] * s[m - j]
-        s[m] /= m
-        c[m] /= m
-    return s, c
-
-
-def _ref_sinhc(inner, scale):
-    """sinh(s t)/(s t) of the jet with coefficients ``inner``: the 35-term
-    even series composed by Horner where |s t| < 1, sinh(u) / u elsewhere.
-    For the variable jet the composition is the identity."""
-    k = inner.shape[0] - 1
-    t0 = inner[0]
-    small = np.abs(scale * t0) < 1.0
-    t_ser = np.where(small, t0, 0.0)
-    fc = np.zeros((k + 1,) + t_ser.shape)
-    for m in range(k + 1):
-        acc = np.zeros_like(t_ser)
-        for j in range((m + 1) // 2, 35):
-            c = scale ** (2 * j) * math.comb(2 * j, m) / math.factorial(2 * j + 1)
-            acc += c * t_ser ** (2 * j - m)
-        fc[m] = acc
-    dx = inner.copy()
-    dx[0] = np.zeros_like(dx[0])
-    ser = np.zeros((k + 1,) + fc.shape[1:])
-    ser[0] = fc[k]
-    for m in range(k - 1, -1, -1):
-        ser = _ref_mul(ser, dx)
-        ser[0] = ser[0] + fc[m]
-    safe = inner.copy()
-    safe[0] = np.where(small, 1.0 / scale, t0)
-    u = safe * scale
-    big = _ref_mul(_ref_sinh_cosh(u)[0], _ref_reciprocal(u))
-    return np.where(small, ser, big)
-
-
 def _bits_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert np.isfinite(want).all()
@@ -268,10 +289,8 @@ def test_lifts_keep_every_bit(order, shape):
     for _ in range(4):
         a = _coeffs(rng, order, shape, positive_value=True)
         x = Jet(a)
-        s, c = _ref_sinh_cosh(a)
         expected = {"exp": _ref_exp(a), "log": _ref_log(a),
-                    "reciprocal": _ref_reciprocal(a), "sinh": s, "cosh": c,
-                    "sqrt": _ref_pow(a, 0.5)}
+                    "reciprocal": _ref_reciprocal(a)}
         for tag, want in expected.items():
             assert _bits_equal(jet_lift_and_compose(tag, x).coeffs, want), tag
         for alpha in (-1.5, -1, 2, 0.25, -0.75):
@@ -286,18 +305,28 @@ def test_lifts_keep_every_bit(order, shape):
 @pytest.mark.parametrize("order", range(9))
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_sinhc_jet_keeps_every_bit(order, scale):
+    """sinh_ratio_jet on many nodes at once, x = scale * t as the tau chart
+    takes it, returns bit for bit what it returns on each node alone, a
+    0-d node, and top_only its top row: the branches scatter back without
+    a trace."""
     rng = np.random.default_rng(200 + order)
     nodes = {
         "small": rng.uniform(1e-3, 0.999, 40) / scale,
         "large": rng.uniform(1.0, 60.0, 40) / scale,
         "mixed": rng.uniform(1e-3, 3.0, 40),
         "tiny": 10.0 ** rng.uniform(-300.0, -1.0, 40),
-        "scalar small": np.float64(0.37) / scale,
-        "scalar large": np.float64(4.2),
+        "huge": rng.uniform(355.0, 16384.0, 40),
+        "stacked": rng.uniform(1e-3, 3.0, (2, 20)),
     }
-    for name, t in nodes.items():
-        got = sinhc_jet(t, order, scale).coeffs
-        assert _bits_equal(got, _ref_sinhc(Jet.variable(t, order).coeffs, scale)), name
+    for p in (1, 1.5):
+        for name, t in nodes.items():
+            x = scale * t
+            jet = sinh_ratio_jet(order, p)
+            got = jet(x).coeffs
+            want = np.stack([jet(v).coeffs for v in x.reshape(-1)], axis=-1)
+            assert _bits_equal(got, want.reshape(got.shape)), (p, name)
+            top = sinh_ratio_jet(order, p, top_only=True)(x)
+            assert _bits_equal(top, got[order]), (p, name)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (5, 7)])

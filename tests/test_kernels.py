@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import jet_reference as ref
 from casimir_harmonic.jets import Jet, jet_lift_and_compose
 from casimir_harmonic.kernels import (COMPONENTS, XI_SLOPE, HarmonicConfig,
                                       HyperbolicJets, bracket_factors,
@@ -119,20 +120,56 @@ def test_sech_squared_stays_alive_at_large_tau(tau):
 
 @pytest.mark.parametrize("order", range(6))
 def test_tau_chart_tanh_and_sech_squared_keep_every_bit(order):
-    """th is the tanh lift of the variable and inv_cosh2 the exponential
-    form 4 E / (1 + E)^2, E = exp(-2 sgn tau), bit for bit."""
+    """th is the exponential-form tanh of the variable and inv_cosh2 the
+    exponential form 4 E / (1 + E)^2, E = exp(-2 sgn tau), bit for bit."""
     tau = np.geomspace(1e-300, 16384.0, 160)
     tau = np.concatenate([tau, -tau])
-    with np.errstate(all="ignore"):     # cosh(2 tau) and sinh(2 tau) overflow
-        basis = HyperbolicJets.from_tau(tau, order)
+    basis = HyperbolicJets.from_tau(tau, order)
     x = Jet.variable(tau, order)
     sgn = np.where(tau >= 0.0, 1.0, -1.0)
     e = jet_lift_and_compose("exp", x * (-2.0 * sgn))
     rec = jet_lift_and_compose("reciprocal", 1.0 + e)
-    for got, want in ((basis.th, jet_lift_and_compose("tanh", x)),
+    for got, want in ((basis.th, ref.tanh(x)),
                       (basis.inv_cosh2, 4.0 * e * rec * rec)):
         assert got.coeffs.shape == want.coeffs.shape
         assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
+# both sides of the switch at tau = 1/2 (x = 2 tau = 1), next to it, out to where
+# the reference overflows, and the 269 nodes of a first quadrature call
+ROUTE_NODES = np.concatenate([
+    np.geomspace(1e-300, 300.0, 60), [0.25, 0.4999999, 0.5, 0.5000001, 0.55, 0.9],
+    np.exp(0.5 * np.pi * np.sinh(np.arange(-214, 55) / 32.0))])
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_tau_chart_matches_the_sinhc_route(order):
+    """Every tau-chart field the brackets read, and the products of cosh(2 tau)
+    they rewrite, against the route the chart once took: ratio = 1/sinhc(2 tau),
+    its powers by the pow lift, cosh from exp and sech^2 = 1/cosh^2.
+    Coefficient m carries a factor 2^m from x = 2 tau, and so does the
+    rounding of either route.  Past tau ~ 355 only the chart is finite."""
+    tau = ROUTE_NODES
+    basis = HyperbolicJets.from_tau(tau, order)
+    x = Jet.variable(tau, order)
+    ratio = ref.ratio(tau, order, 2.0)
+    cosh, cosh2 = ref.sinh_cosh(x)[1], ref.sinh_cosh(x * 2.0)[1]
+    sech2 = jet_lift_and_compose("reciprocal", cosh * cosh)
+    pairs = {"tau": (basis.tau, x), "th": (basis.th, ref.tanh(x)), "ratio": (basis.ratio, ratio),
+             "sech^2": (basis.inv_cosh2, sech2),
+             "ratio cosh(2 tau)": (basis.ratio + 2.0 * basis.tau * basis.th, ratio * cosh2),
+             "cosh(2 tau) sech^2": (2.0 - basis.inv_cosh2, cosh2 * sech2)}
+    for d in (1, 3):
+        pairs["ratio^%g" % (0.5 * d)] = (basis.ratio_power(0.5 * d),
+                                         jet_lift_and_compose("pow", ratio, 0.5 * d))
+    bound = 1e-15 * 2.0 ** np.arange(order + 1)[:, None]
+    for name, (got, want) in pairs.items():
+        err = abs(got.coeffs - want.coeffs) / np.maximum(1.0, abs(want.coeffs))
+        if name == "ratio cosh(2 tau)":
+            # the reference multiplies a ratio near 4 tau e^(-2 tau) by cosh(2 tau),
+            # and its terms of size ~ 2 tau cancel
+            err = err / (1.0 + 2.0 * tau)
+        assert (err <= bound).all(), (name, tau[(err / bound).max(axis=0).argmax()], err.max())
 
 
 def test_chart_consistency():

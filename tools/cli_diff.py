@@ -8,8 +8,10 @@ one on 4000 radii integrates 36 000 stacked entries in one quadrature call), 21
 large-r bound is largest; one of them is JSON), 6 ``energy`` requests (d = 1, 2, 3; d = 4,
 which has no zeta column; d = 3 at n = 8; d = 2 at a tol of 1e-300, whose tail doublings reach
 past tau = 710, where sinh overflows), 3 ``selftest``
-requests (every criterion as CSV and as JSON, criteria 3 and 11) and 10 requests that
-fail (one quadrature failure, exit 3, and nine rejected inputs, exit 2: a non-finite
+requests (every criterion as CSV and as JSON, criteria 3 and 11) and 11 requests that
+fail (two quadrature stalls, exit 3: d = 3 tt at a tol of 1e-300, which no level reaches
+though the integrand stays finite out to tau = 16384, and at r = 2000, where the value is
+rounding noise; and nine rejected inputs, exit 2: a non-finite
 radius, a zero radius for ``asympt``, a k whose k^(d+1) overflows, an ``--output`` that
 is a directory, 1e12 radii, a ``stress --tol`` whose third underflows to 0, an ``asympt
 --tol`` whose tail threshold, a hundredth of it, does, a criterion number that
@@ -56,6 +58,7 @@ def requests():
                ["energy", "--d", "3", "--n", "8"]]
             + [["selftest"], ["selftest", "--format", "json"], ["selftest", "--criteria", "3,11"]]
             + [["stress", "--d", "3", "--component", "tt", "--tol", "1e-300", "--r", "0", "5", "2"],
+               ["stress", "--d", "3", "--component", "tt", "--r", "2000", "2000", "1"],
                ["stress", "--d", "1", "--r", "0", "nan", "11"],
                ["asympt", "--d", "2", "--r", "0", "5", "3"],
                ["stress", "--d", "3", "--k", "1e100"],

@@ -2,10 +2,14 @@
 
     python3 tools/jet_bench.py OLD_TREE NEW_TREE
 
-Times ``sinhc_jet`` at scales 1 and 2 and ``Jet.__mul__`` at orders 2..8 on
-16 and on 1000 nodes spread over the unit interval, where the exp-sinh rule
-puts the t < 0 half of every tau-integral's nodes: at scale 1 every node
-takes the even-series branch of ``sinhc_jet``, at scale 2 about half do.
+Times the jet of (s t)/sinh(s t) and of its 3/2 power, the tau chart's
+ratio and d = 3 weight, at scales 1 and 2, and ``Jet.__mul__`` at orders
+2..8 on 16 and on 1000 nodes spread over the unit interval, where the
+exp-sinh rule puts the t < 0 half of every tau-integral's nodes: at scale 1
+every node takes the Taylor-series branch, at scale 2 about half do.  A tree
+with ``sinh_ratio_jet`` computes them with it, at x = s t; an older tree as
+the reciprocal of ``sinhc_jet(t, order, s)`` and, for the 3/2 power, that
+times its ``sqrt`` lift.
 Each tree runs in its own interpreter with its ``src`` on PYTHONPATH.  A
 round runs both trees back to back, ``ROUNDS`` rounds per node count, the
 first tree of each round alternating between old and new; in each tree a
@@ -32,18 +36,24 @@ CALLS = 20
 ROUNDS = 12
 
 # run inside each tree's interpreter: prints {kernel label: [us per call, ...]}
-# Jets are built through Jet.variable, and sinhc_jet is called as
-# sinhc_jet(t, order, scale) or, in trees that take the variable jet,
-# sinhc_jet(Jet.variable(t, order), scale).
 CHILD = r"""
-import inspect, json, sys, time
+import json, sys, time
 import numpy as np
-from casimir_harmonic.jets import Jet, sinhc_jet
+from casimir_harmonic import jets
+from casimir_harmonic.jets import Jet, jet_lift_and_compose as lift
 
 nodes, orders, runs, calls = json.loads(sys.argv[1])
 t = np.linspace(0.0, 1.0, nodes + 2)[1:-1]
 rng = np.random.default_rng(0)
-takes_order = "order" in inspect.signature(sinhc_jet).parameters
+
+
+def ratio_pow(k, s, p):
+    if hasattr(jets, "sinh_ratio_jet"):
+        return lambda: jets.sinh_ratio_jet(k, p)(s * t)
+    def old():
+        ratio = lift("reciprocal", jets.sinhc_jet(t, k, s))
+        return ratio if p == 1 else ratio * lift("sqrt", ratio)
+    return old
 
 
 def random_jet(k):
@@ -56,11 +66,8 @@ cases = {}
 for k in orders:
     a, b = random_jet(k), random_jet(k)
     for scale in (1.0, 2.0):
-        if takes_order:
-            call = lambda k=k, s=scale: sinhc_jet(t, k, s)
-        else:
-            call = lambda x=Jet.variable(t, k), s=scale: sinhc_jet(x, s)
-        cases["sinhc_jet scale %g|%d" % (scale, k)] = call
+        for p in (1, 1.5):
+            cases["ratio^%g scale %g|%d" % (p, scale, k)] = ratio_pow(k, scale, p)
     cases["Jet.__mul__|%d" % k] = lambda a=a, b=b: a * b
 samples = {}
 for label, call in cases.items():
